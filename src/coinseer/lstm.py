@@ -6,13 +6,21 @@ tanh, sigmoid) with zero initial hidden and cell states; the last
 layer's final hidden state feeds a single linear output unit. Gate
 weights are packed along one axis in i|f|g|o order. Gradients come from
 full backpropagation through time.
+
+All parameters live in one contiguous float64 buffer laid out
+``w1,b1,w2,b2,...,wd,bd | u1,u2,...``; ``Network.params`` holds named,
+reshaped views into it. With one-step windows (k=1) the recurrent
+weights ``u*`` never act, because the initial hidden state is zero, so
+training reads and writes only the *live span*: the prefix before
+``u1``. For k > 1 the whole buffer is live.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from typing import BinaryIO, NamedTuple, Sequence
 
@@ -22,17 +30,33 @@ from .dataset import NormParams, WindowedDataset, invert_minmax
 from .signals import PRICE_COLUMN
 
 ParamDict = dict[str, np.ndarray]
+#: Parameter name -> (offset, shape) in the flat buffer.
+Layout = dict[str, tuple[int, tuple[int, ...]]]
 
 _MODEL_MAGIC = b"COINSEER-MODEL-1\n"
+
+#: Elements per pass of adam_step: the chunks of p, g, m, v and two
+#: scratch arrays (768 KiB) stay inside a 2 MiB L2 cache.
+_CHUNK = 16384
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
 class Network:
-    """Parameter container for one stacked-LSTM regressor."""
+    """Parameter container for one stacked-LSTM regressor.
+
+    ``params`` maps each name to a view into ``flat``, the one buffer
+    that holds every parameter (see the module docstring). Arrays passed
+    in are adopted when they already are such views, else copied into a
+    new buffer.
+    """
 
     input_dim: int
     sizes: tuple[int, ...]
     params: ParamDict
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    _layout: Layout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.input_dim < 1:
@@ -44,6 +68,25 @@ class Network:
             arr = self.params.get(key)
             if arr is None or arr.shape != shape:
                 raise ValueError(f"parameter {key} missing or misshaped")
+        self._layout = _layout(self.input_dim, self.sizes)
+        flat = _buffer_of(self.params, self._layout)
+        if flat is None:
+            flat = np.empty(_total_size(self._layout))
+            for key, view in _views(flat, self._layout).items():
+                view[...] = self.params[key]
+        self.flat = flat
+        self.params = _views(flat, self._layout)
+
+    def live_size(self, k: int) -> int:
+        """Length of the prefix of ``flat`` that k-step windows can train."""
+        return self._layout["u1"][0] if k == 1 else self.flat.size
+
+    def locate(self, index: int) -> tuple[str, int]:
+        """Parameter name and element index of position ``index`` in ``flat``."""
+        for key, (offset, shape) in self._layout.items():
+            if offset <= index < offset + math.prod(shape):
+                return key, index - offset
+        raise IndexError(f"position {index} is outside the parameter buffer")
 
 
 class LayerCache(NamedTuple):
@@ -72,25 +115,75 @@ def param_shapes(input_dim: int, sizes: Sequence[int]) -> dict[str, tuple[int, .
     return shapes
 
 
+def _layout(input_dim: int, sizes: Sequence[int]) -> Layout:
+    """(offset, shape) of each parameter in the flat buffer, keyed in
+    param_shapes order; offsets run w1,b1,...,wd,bd and then u1,u2,...."""
+    shapes = param_shapes(input_dim, sizes)
+    offsets: dict[str, int] = {}
+    offset = 0
+    for key in sorted(shapes, key=lambda name: name.startswith("u")):
+        offsets[key] = offset
+        offset += math.prod(shapes[key])
+    return {key: (offsets[key], shape) for key, shape in shapes.items()}
+
+
+def _total_size(layout: Layout) -> int:
+    return sum(math.prod(shape) for _, shape in layout.values())
+
+
+def _views(buffer: np.ndarray, layout: Layout) -> ParamDict:
+    """Named views into ``buffer``; parameters past its end read as zeros."""
+    views: ParamDict = {}
+    for key, (offset, shape) in layout.items():
+        end = offset + math.prod(shape)
+        if end <= buffer.size:
+            views[key] = buffer[offset:end].reshape(shape)
+        else:
+            views[key] = np.broadcast_to(np.float64(0.0), shape)
+    return views
+
+
+def _buffer_of(params: ParamDict, layout: Layout) -> np.ndarray | None:
+    """The flat buffer that ``params`` already are the laid-out views of, if any."""
+    base = params["w1"].base
+    if (
+        not isinstance(base, np.ndarray)
+        or base.shape != (_total_size(layout),)
+        or base.dtype != np.float64
+        or not base.flags.c_contiguous
+    ):
+        return None
+    for key, (offset, _) in layout.items():
+        arr = params[key]
+        if (
+            arr.base is not base
+            or not arr.flags.c_contiguous
+            or arr.ctypes.data != base.ctypes.data + offset * base.itemsize
+        ):
+            return None
+    return base
+
+
 def init_network(
     input_dim: int, sizes: Sequence[int] = (400, 800), seed: int = 0
 ) -> Network:
     """Glorot-uniform weights, zero biases except forget-gate biases at 1."""
     rng = np.random.default_rng(seed)
-    params: ParamDict = {}
+    layout = _layout(input_dim, sizes)
+    params = _views(np.empty(_total_size(layout)), layout)
     prev = input_dim
     for li, h in enumerate(sizes, start=1):
         lim_w = math.sqrt(6.0 / (prev + 4 * h))
         lim_u = math.sqrt(6.0 / (h + 4 * h))
-        params[f"w{li}"] = rng.uniform(-lim_w, lim_w, (prev, 4 * h))
-        params[f"u{li}"] = rng.uniform(-lim_u, lim_u, (h, 4 * h))
-        bias = np.zeros(4 * h)
+        params[f"w{li}"][...] = rng.uniform(-lim_w, lim_w, (prev, 4 * h))
+        params[f"u{li}"][...] = rng.uniform(-lim_u, lim_u, (h, 4 * h))
+        bias = params[f"b{li}"]
+        bias[...] = 0.0
         bias[h : 2 * h] = 1.0
-        params[f"b{li}"] = bias
         prev = h
     lim_d = math.sqrt(6.0 / (prev + 1))
-    params["wd"] = rng.uniform(-lim_d, lim_d, prev)
-    params["bd"] = np.zeros(1)
+    params["wd"][...] = rng.uniform(-lim_d, lim_d, prev)
+    params["bd"][...] = 0.0
     return Network(input_dim=input_dim, sizes=tuple(sizes), params=params)
 
 
@@ -160,22 +253,36 @@ def forward(net: Network, window: np.ndarray) -> tuple[float, ForwardCache]:
     return float(preds[0]), cache
 
 
-def backward(net: Network, cache: ForwardCache, d_preds: np.ndarray) -> ParamDict:
+def backward(
+    net: Network,
+    cache: ForwardCache,
+    d_preds: np.ndarray,
+    out: np.ndarray | None = None,
+) -> ParamDict:
     """Parameter gradients for upstream prediction gradients d_preds.
 
     Exact backpropagation through time over every layer and step. The
     t=0 recurrent terms are skipped because the initial states are zero,
     which makes those contributions identically zero.
+
+    Every element of the live span's gradient is written into ``out``
+    (a new buffer when None), laid out like ``net.flat[:live_size(k)]``.
+    The result maps each name to its view of ``out``; with k=1 the
+    recurrent weights get no space and read as zeros.
     """
     d = np.atleast_1d(np.asarray(d_preds, dtype=np.float64))
     layers = cache.layers
     batch, k, _ = layers[0].inputs.shape
     if d.shape != (batch,):
         raise ValueError(f"d_preds must have shape ({batch},), got {d.shape}")
-    grads: ParamDict = {}
+    size = net.live_size(k)
+    flat = np.empty(size) if out is None else out
+    if flat.shape != (size,) or flat.dtype != np.float64:
+        raise ValueError(f"gradient buffer must be float64 of shape ({size},)")
+    grads = _views(flat, net._layout)
     last_hidden = layers[-1].hidden
-    grads["wd"] = last_hidden[:, -1].T @ d
-    grads["bd"] = np.array([d.sum()])
+    grads["wd"][...] = last_hidden[:, -1].T @ d
+    grads["bd"][0] = d.sum()
     d_seq = np.zeros_like(last_hidden)
     d_seq[:, -1] = d[:, None] * net.params["wd"][None, :]
     for li in range(len(net.sizes), 0, -1):
@@ -183,10 +290,11 @@ def backward(net: Network, cache: ForwardCache, d_preds: np.ndarray) -> ParamDic
         h = net.sizes[li - 1]
         w = net.params[f"w{li}"]
         u = net.params[f"u{li}"]
-        dw = np.zeros_like(w)
-        du = np.zeros_like(u)
-        db = np.zeros(4 * h)
-        d_in = np.zeros_like(lc.inputs)
+        dw = grads[f"w{li}"]
+        du = grads[f"u{li}"]
+        db = grads[f"b{li}"]
+        # the first layer's input gradient would reach only the data
+        d_in = np.empty_like(lc.inputs) if li > 1 else None
         dh = np.zeros((batch, h))
         dc = np.zeros((batch, h))
         dz = np.empty((batch, 4 * h))
@@ -207,16 +315,23 @@ def backward(net: Network, cache: ForwardCache, d_preds: np.ndarray) -> ParamDic
                 dz[:, h : 2 * h] = dc * c_prev * gf * (1.0 - gf)
             else:
                 dz[:, h : 2 * h] = 0.0
-            dw += lc.inputs[:, t].T @ dz
-            db += dz.sum(axis=0)
-            d_in[:, t] = dz @ w.T
+            # the last step writes each sum's first term, so ``out`` is
+            # never zeroed
+            if t == k - 1:
+                np.matmul(lc.inputs[:, t].T, dz, out=dw)
+                db[...] = dz.sum(axis=0)
+            else:
+                dw += lc.inputs[:, t].T @ dz
+                db += dz.sum(axis=0)
+            if d_in is not None:
+                d_in[:, t] = dz @ w.T
             if t > 0:
-                du += lc.hidden[:, t - 1].T @ dz
+                if t == k - 1:
+                    np.matmul(lc.hidden[:, t - 1].T, dz, out=du)
+                else:
+                    du += lc.hidden[:, t - 1].T @ dz
                 dh = dz @ u.T
                 dc = dc * gf
-        grads[f"w{li}"] = dw
-        grads[f"u{li}"] = du
-        grads[f"b{li}"] = db
         d_seq = d_in
     return grads
 
@@ -245,7 +360,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    clip_norm: float | None = None
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -258,8 +372,6 @@ class TrainConfig:
             raise ValueError("patience must be positive or None")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ValueError("betas must lie in [0, 1)")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive or None")
 
 
 @dataclass
@@ -269,10 +381,19 @@ class AdamState:
 
 
 def init_adam(params: ParamDict) -> AdamState:
+    # np.zeros maps fresh zero pages; zeros_like would write every element
     return AdamState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
+        m={k: np.zeros(p.shape) for k, p in params.items()},
+        v={k: np.zeros(p.shape) for k, p in params.items()},
     )
+
+
+class NonFiniteGradient(ArithmeticError):
+    """A gradient element is NaN or infinite; raised before any update."""
+
+    def __init__(self, name: str, index: int) -> None:
+        super().__init__(f"non-finite gradient for parameter {name} at element {index}")
+        self.index = index
 
 
 def adam_step(
@@ -282,28 +403,52 @@ def adam_step(
     t: int,
     config: TrainConfig,
 ) -> tuple[ParamDict, AdamState]:
-    """One bias-corrected update, in place on params and state.
+    """One bias-corrected update (Kingma & Ba 2015), in place on params and state.
 
-    Arrays whose gradient and accumulated second moment are both all
-    zero are skipped: their update is exactly zero either way.
+    Every gradient is checked finite before anything changes. The update
+    then runs as in-place ufuncs over chunks of ``_CHUNK`` elements with
+    two chunk-sized scratch arrays, doing the same operations in the same
+    order as the whole-array expressions
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, so results are bitwise
+    equal to them. All arrays must be C-contiguous.
     """
     if t < 1:
         raise ValueError("step index starts at 1")
-    bc1 = 1.0 - config.beta1**t
-    bc2 = 1.0 - config.beta2**t
+    arrays = []
     for key, p in params.items():
-        g = grads[key]
-        v = state.v[key]
-        if not g.any() and not v.any():
-            continue
-        if not np.all(np.isfinite(g)):
-            raise ArithmeticError(f"non-finite gradient for parameter {key}")
-        m = state.m[key]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        quad = (p, grads[key], state.m[key], state.v[key])
+        if any(a.shape != p.shape or not a.flags.c_contiguous for a in quad):
+            raise ValueError(f"parameter {key}: arrays must be C-contiguous and alike in shape")
+        finite = np.isfinite(quad[1])
+        if not finite.all():
+            raise NonFiniteGradient(key, int(np.argmin(finite.reshape(-1))))
+        arrays.append([a.reshape(-1) for a in quad])
+    b1, b2 = config.beta1, config.beta2
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    scratch1 = np.empty(_CHUNK)
+    scratch2 = np.empty(_CHUNK)
+    for p, g, m, v in arrays:
+        for lo in range(0, p.size, _CHUNK):
+            hi = min(lo + _CHUNK, p.size)
+            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            s1 = scratch1[: hi - lo]
+            s2 = scratch2[: hi - lo]
+            np.multiply(gc, 1.0 - b1, out=s1)
+            mc *= b1
+            mc += s1
+            np.multiply(gc, gc, out=s1)
+            s1 *= 1.0 - b2
+            vc *= b2
+            vc += s1
+            np.divide(mc, bc1, out=s1)
+            s1 *= config.learning_rate
+            np.divide(vc, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += config.eps
+            s1 /= s2
+            pc -= s1
     return params, state
 
 
@@ -365,7 +510,10 @@ def train(
 
     Shuffles sample order each epoch from config.seed, averages gradients
     within each batch, and restores the parameters of the best validation
-    epoch before returning. The passed network is trained in place.
+    epoch before returning. The passed network is trained in place; only
+    its live span (``net.live_size(k)``) is read or written, so with k=1
+    the recurrent weights keep their initial values. Each epoch's MSEs
+    and the best epoch are logged at debug level.
     """
     if fit_set.feature_names != val_set.feature_names:
         raise ValueError("fit and validation feature names differ")
@@ -377,9 +525,12 @@ def train(
     if len(fit_set) < 1 or len(val_set) < 1:
         raise ValueError("fit and validation sets must be nonempty")
     rng = np.random.default_rng(config.seed)
-    state = init_adam(net.params)
+    live = net.flat[: net.live_size(fit_set.inputs.shape[1])]
+    grad = np.empty(live.size)
+    params, grads = {"live": live}, {"live": grad}
+    state = init_adam(params)
     stopper = EarlyStopper(config.patience)
-    best_params = {k: p.copy() for k, p in net.params.items()}
+    best = live.copy()
     history: list[EpochStats] = []
     n = len(fit_set)
     step = 0
@@ -391,23 +542,25 @@ def train(
             preds, cache = forward_batch(net, fit_set.inputs[idx])
             resid = preds - fit_set.targets[idx]
             sse += float(resid @ resid)
-            grads = backward(net, cache, (2.0 / idx.size) * resid)
-            if config.clip_norm is not None:
-                _clip_global_norm(grads, config.clip_norm)
+            backward(net, cache, (2.0 / idx.size) * resid, out=grad)
             step += 1
-            adam_step(net.params, grads, state, step, config)
+            try:
+                adam_step(params, grads, state, step, config)
+            except NonFiniteGradient as exc:
+                raise NonFiniteGradient(*net.locate(exc.index)) from None
         val_preds, _ = forward_batch(net, val_set.inputs)
         val_resid = val_preds - val_set.targets
         val_mse = float(val_resid @ val_resid) / val_resid.size
         if not math.isfinite(val_mse):
             raise ArithmeticError(f"training diverged at epoch {epoch}")
         history.append(EpochStats(epoch, sse / n, val_mse))
+        log.debug("epoch %d: train MSE %.6g, validation MSE %.6g", epoch, sse / n, val_mse)
         if stopper.update(val_mse):
-            best_params = {k: p.copy() for k, p in net.params.items()}
+            np.copyto(best, live)
         if stopper.should_stop:
             break
-    for key, p in best_params.items():
-        net.params[key] = p
+    np.copyto(live, best)
+    log.debug("best epoch %d of %d", stopper.best_epoch, len(history))
     return TrainedModel(
         network=net,
         norm=norm,
@@ -417,14 +570,6 @@ def train(
         j=fit_set.j,
         train_end=fit_set.anchor_dates[-1],
     )
-
-
-def _clip_global_norm(grads: ParamDict, max_norm: float) -> None:
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
 
 
 def predict(model: TrainedModel, windows: np.ndarray) -> np.ndarray:
@@ -462,6 +607,24 @@ def _read_array(fh: BinaryIO) -> np.ndarray:
     return np.load(fh, allow_pickle=False)
 
 
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _read_into(fh: BinaryIO, out: np.ndarray, what: str) -> None:
+    """Read one .npy array from ``fh`` straight into ``out``, which it must match."""
+    reader = _NPY_HEADER_READERS.get(np.lib.format.read_magic(fh))
+    if reader is None:
+        raise ValueError(f"{what}: unsupported array format")
+    shape, fortran_order, dtype = reader(fh)
+    if shape != out.shape or fortran_order or dtype != out.dtype:
+        raise ValueError(f"{what} missing or misshaped")
+    if fh.readinto(memoryview(out).cast("B")) != out.nbytes:
+        raise ValueError(f"{what} is truncated")
+
+
 def load_model(path: str) -> TrainedModel:
     """Inverse of save_model."""
     with open(path, "rb") as fh:
@@ -471,13 +634,16 @@ def load_model(path: str) -> TrainedModel:
         meta = json.loads(fh.readline().decode("utf-8"))
         mins = _read_array(fh)
         maxs = _read_array(fh)
-        params = {key: _read_array(fh) for key in meta["param_keys"]}
+        input_dim = int(meta["input_dim"])
+        sizes = tuple(int(s) for s in meta["sizes"])
+        layout = _layout(input_dim, sizes)
+        if sorted(meta["param_keys"]) != sorted(layout):
+            raise ValueError(f"{path}: parameter names do not match the layer sizes")
+        params = _views(np.empty(_total_size(layout)), layout)
+        for key in meta["param_keys"]:
+            _read_into(fh, params[key], f"{path}: parameter {key}")
     norm = NormParams(columns=tuple(meta["norm_columns"]), mins=mins, maxs=maxs)
-    net = Network(
-        input_dim=int(meta["input_dim"]),
-        sizes=tuple(int(s) for s in meta["sizes"]),
-        params=params,
-    )
+    net = Network(input_dim=input_dim, sizes=sizes, params=params)
     history = tuple(
         EpochStats(int(e), float(tr), float(va)) for e, tr, va in meta["history"]
     )

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -139,6 +141,26 @@ def test_train_then_forecast_round_trip(tmp_path, capsys):
     assert payload["horizon_days"] == 1
     assert payload["target_date"] > payload["anchor_date"]
     assert isinstance(payload["prediction_usd"], float)
+
+
+def test_verbose_logs_training_to_stderr_only(tmp_path):
+    out = tmp_path / "trained"
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coinseer.cli", "-v", "train", "--synthetic",
+         "--days", "40", "--coins", "1", "--sizes", "4", "--epochs", "2",
+         "--patience", "0", "--seed", "3", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    epochs = [line for line in proc.stderr.splitlines() if "validation MSE" in line]
+    assert len(epochs) == 2
+    assert epochs[0].startswith("DEBUG coinseer.lstm: epoch 1: train MSE ")
+    assert "DEBUG coinseer.lstm: best epoch " in proc.stderr
+    for path in out.iterdir():
+        assert b"validation MSE" not in path.read_bytes()
 
 
 def test_forecast_rejects_junk_model(tmp_path, capsys):

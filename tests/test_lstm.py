@@ -1,5 +1,8 @@
 """Stacked LSTM forward/backward, optimizer, training loop, serialization."""
 
+import hashlib
+import json
+import logging
 import math
 from datetime import date, timedelta
 
@@ -109,6 +112,33 @@ def test_network_validates_params():
         lstm.Network(input_dim=0, sizes=(3,), params=net.params)
 
 
+def test_params_are_views_of_one_flat_buffer():
+    net = lstm.init_network(2, (3, 4), seed=1)
+    order = ("w1", "b1", "w2", "b2", "wd", "bd", "u1", "u2")
+    offset = 0
+    for key in order:
+        param = net.params[key]
+        assert np.shares_memory(param, net.flat)
+        assert param.ctypes.data == net.flat.ctypes.data + 8 * offset
+        offset += param.size
+    assert offset == net.flat.size == 205
+    assert net.live_size(1) == 105
+    assert net.live_size(2) == net.live_size(7) == 205
+    assert net.locate(0) == ("w1", 0)
+    assert net.locate(104) == ("bd", 0)
+    assert net.locate(151) == ("u2", 10)
+
+    # views of that layout are adopted; separate arrays are copied in
+    adopted = lstm.Network(2, (3, 4), dict(net.params))
+    assert adopted.flat is net.flat
+    loose = {k: p.copy() for k, p in net.params.items()}
+    packed = lstm.Network(2, (3, 4), loose)
+    assert not np.shares_memory(packed.flat, net.flat)
+    npt.assert_array_equal(packed.flat, net.flat)
+    loose["w1"][0, 0] += 1.0
+    assert packed.params["w1"][0, 0] == net.params["w1"][0, 0]
+
+
 def test_forward_matches_scalar_reference():
     rng = np.random.default_rng(14)
     for sizes in ((3,), (3, 4)):
@@ -135,16 +165,17 @@ def test_forward_batch_matches_single_forward():
 
 def test_backward_matches_numeric_gradients():
     rng = np.random.default_rng(3)
-    for sizes in ((3,), (2, 3)):
+    for sizes, k in (((3,), 3), ((2, 3), 3), ((2, 3), 1)):
         net = lstm.init_network(2, sizes, seed=int(rng.integers(1000)))
-        windows = rng.normal(size=(4, 3, 2))
+        windows = rng.normal(size=(4, k, 2))
         targets = rng.normal(size=4)
         _, grads = lstm.loss_and_grads(net, windows, targets)
         numeric = numeric_grads(net, windows, targets)
+        assert grads.keys() == numeric.keys()
         for key in grads:
             denom = max(np.abs(numeric[key]).max(), 1e-8)
             rel = np.abs(grads[key] - numeric[key]).max() / denom
-            assert rel < 1e-6, f"{sizes} {key}: rel err {rel}"
+            assert rel < 1e-6, f"{sizes} k={k} {key}: rel err {rel}"
 
 
 def test_adam_known_single_step():
@@ -183,6 +214,148 @@ def test_adam_zero_lr_and_zero_grad_behavior():
 
     with pytest.raises(ArithmeticError, match="non-finite"):
         lstm.adam_step(params, {"a": np.array([np.nan]), "b": np.zeros(1)}, state, 3, config)
+
+
+def per_array_adam_step(params, grads, state, t, config):
+    """Oracle: the update applied one whole array at a time, skipping
+    arrays whose gradient and second moment are both all zero."""
+    bc1 = 1.0 - config.beta1**t
+    bc2 = 1.0 - config.beta2**t
+    for key, p in params.items():
+        g = grads[key]
+        v = state.v[key]
+        if not g.any() and not v.any():
+            continue
+        if not np.all(np.isfinite(g)):
+            raise ArithmeticError(f"non-finite gradient for parameter {key}")
+        m = state.m[key]
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * (g * g)
+        p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+
+
+def per_array_train(net, fit_set, val_set, config):
+    """Oracle: train() as a loop over every named parameter array, with
+    whole-dict best-epoch snapshots. Returns (params, history, best_epoch)."""
+    work = lstm.Network(net.input_dim, net.sizes, {k: p.copy() for k, p in net.params.items()})
+    params = work.params
+    state = lstm.AdamState(
+        m={k: np.zeros_like(p) for k, p in params.items()},
+        v={k: np.zeros_like(p) for k, p in params.items()},
+    )
+    rng = np.random.default_rng(config.seed)
+    stopper = lstm.EarlyStopper(config.patience)
+    best = {k: p.copy() for k, p in params.items()}
+    history = []
+    n = len(fit_set)
+    step = 0
+    for epoch in range(1, config.max_epochs + 1):
+        perm = rng.permutation(n)
+        sse = 0.0
+        for lo in range(0, n, config.batch_size):
+            idx = perm[lo : lo + config.batch_size]
+            preds, cache = lstm.forward_batch(work, fit_set.inputs[idx])
+            resid = preds - fit_set.targets[idx]
+            sse += float(resid @ resid)
+            grads = lstm.backward(work, cache, (2.0 / idx.size) * resid)
+            step += 1
+            per_array_adam_step(params, grads, state, step, config)
+        val_preds, _ = lstm.forward_batch(work, val_set.inputs)
+        val_resid = val_preds - val_set.targets
+        val_mse = float(val_resid @ val_resid) / val_resid.size
+        history.append(lstm.EpochStats(epoch, sse / n, val_mse))
+        if stopper.update(val_mse):
+            best = {k: p.copy() for k, p in params.items()}
+        if stopper.should_stop:
+            break
+    return best, tuple(history), stopper.best_epoch
+
+
+def random_task(rng, n, k, input_dim):
+    inputs = rng.uniform(size=(n, k, input_dim))
+    targets = inputs[:, -1, 0] * 0.6 + 0.2 + rng.normal(scale=0.05, size=n)
+    return toy_dataset(inputs, targets, k)
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("sizes", [(5,), (4, 6)])
+def test_train_is_bitwise_equal_to_per_array_oracle(monkeypatch, sizes, k, chunk):
+    if chunk is not None:
+        # chunks that end inside every parameter array
+        monkeypatch.setattr(lstm, "_CHUNK", chunk)
+    rng = np.random.default_rng(17)
+    fit = random_task(rng, 23, k, 3)
+    val = random_task(rng, 7, k, 3)
+    config = lstm.TrainConfig(seed=4, batch_size=5, learning_rate=0.05,
+                              max_epochs=12, patience=3)
+    net = lstm.init_network(3, sizes, seed=8)
+    initial = {key: p.copy() for key, p in net.params.items()}
+    want_params, want_history, want_best = per_array_train(net, fit, val, config)
+    norm = NormParams(columns=("f0", "f1", "f2"), mins=np.zeros(3), maxs=np.ones(3))
+    model = lstm.train(net, fit, val, config, norm=norm)
+    assert model.history == want_history
+    assert model.best_epoch == want_best
+    for key, want in want_params.items():
+        assert model.network.params[key].tobytes() == want.tobytes(), key
+    if k == 1:
+        for li in range(1, len(sizes) + 1):
+            key = f"u{li}"
+            assert model.network.params[key].tobytes() == initial[key].tobytes()
+    else:
+        assert not np.array_equal(model.network.params["u1"], initial["u1"])
+
+
+# (k, position in the flat buffer, parameter, element) for net (2, (3, 4)):
+# the live span is 105 elements at k=1 and all 205 at k=3.
+POISON_SITES = [
+    (1, 0, "w1", 0),
+    (1, 104, "bd", 0),
+    (3, 0, "w1", 0),
+    (3, 204, "u2", 63),
+    (3, 151, "u2", 10),
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k, pos, name, element", POISON_SITES)
+def test_non_finite_gradient_is_named_and_changes_nothing(monkeypatch, k, pos, name, element, bad):
+    net = lstm.init_network(2, (3, 4), seed=1)
+    assert np.shares_memory(net.flat[pos : pos + 1], net.params[name].reshape(-1)[element : element + 1])
+    live = net.flat[: net.live_size(k)]
+    config = lstm.TrainConfig()
+
+    # adam_step checks the whole gradient before it touches anything
+    rng = np.random.default_rng(pos)
+    params = {"live": live}
+    state = lstm.init_adam(params)
+    for t in (1, 2):
+        lstm.adam_step(params, {"live": rng.normal(size=live.size)}, state, t, config)
+    grad = rng.normal(size=live.size)
+    grad[pos] = bad
+    before = [a.copy() for a in (live, state.m["live"], state.v["live"])]
+    with pytest.raises(ArithmeticError, match=rf"non-finite gradient for parameter live at element {pos}$"):
+        lstm.adam_step(params, {"live": grad}, state, 3, config)
+    for was, now in zip(before, (live, state.m["live"], state.v["live"])):
+        assert now.tobytes() == was.tobytes()
+
+    # train names the parameter the element belongs to
+    initial = net.flat.copy()
+    real_backward = lstm.backward
+
+    def poisoned_backward(*args, **kwargs):
+        grads = real_backward(*args, **kwargs)
+        kwargs["out"][pos] = bad
+        return grads
+
+    monkeypatch.setattr(lstm, "backward", poisoned_backward)
+    ds = random_task(np.random.default_rng(2), 6, k, 2)
+    norm = NormParams(columns=("f0", "f1"), mins=np.zeros(2), maxs=np.ones(2))
+    with pytest.raises(ArithmeticError, match=rf"parameter {name} at element {element}$"):
+        lstm.train(net, ds, ds, config, norm=norm)
+    assert net.flat.tobytes() == initial.tobytes()
 
 
 def test_early_stopper_scripted_sequence():
@@ -309,6 +482,80 @@ def test_model_round_trip_and_deterministic_bytes(tmp_path):
     junk.write_bytes(b"not a model\n")
     with pytest.raises(ValueError, match="not a model"):
         lstm.load_model(str(junk))
+
+
+# sha256 of save_model's bytes for small_trained_model(k, sizes), recorded
+# by the code that kept each parameter in its own array (numpy 2.4.6,
+# OpenBLAS 0.3.31, x86-64); the file format and the arithmetic are unchanged.
+RECORDED_MODEL_SHA256 = {
+    (1, (3, 4)): "958e0c3074dc1377f405daf9f85b6d92bfc43b9ff6fe44951f1ca452e503c12b",
+    (4, (3,)): "2b8da75bf96028e7e3c8ba9bebfd477033bff1a5b876ddf71f95363a9bb14245",
+    (3, (3, 4)): "326688c2f161adae9cc966d87146906729dd91d93258d4c8d2bf9bcd339ce30d",
+}
+
+
+def small_trained_model(k, sizes):
+    ds = make_sine_task(n=12, k=k)
+    net = lstm.init_network(1, sizes, seed=7)
+    norm = NormParams(columns=("f0",), mins=np.array([0.1]), maxs=np.array([0.9]))
+    config = lstm.TrainConfig(seed=7, batch_size=4, max_epochs=3, patience=None)
+    return lstm.train(net, ds, ds, config, norm=norm), ds, config
+
+
+@pytest.mark.parametrize("k, sizes", sorted(RECORDED_MODEL_SHA256))
+def test_saved_bytes_match_record_and_load_into_one_buffer(tmp_path, k, sizes):
+    model, ds, config = small_trained_model(k, sizes)
+    path = tmp_path / "m.bin"
+    lstm.save_model(str(path), model)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDED_MODEL_SHA256[(k, sizes)]
+
+    loaded = lstm.load_model(str(path))
+    flat = loaded.network.flat
+    assert flat.flags.c_contiguous
+    assert flat.size == sum(p.size for p in loaded.network.params.values())
+    for key, param in loaded.network.params.items():
+        assert param.base is flat, key
+        npt.assert_array_equal(param, model.network.params[key])
+    want, _ = lstm.forward_batch(model.network, ds.inputs)
+    got, _ = lstm.forward_batch(loaded.network, ds.inputs)
+    npt.assert_array_equal(got, want)
+    retrained = lstm.train(loaded.network, ds, ds, config, norm=loaded.norm)
+    assert retrained.network.flat is flat
+    assert all(math.isfinite(s.val_mse) for s in retrained.history)
+    preds, _ = lstm.forward_batch(retrained.network, ds.inputs)
+    assert np.all(np.isfinite(preds)) and not np.array_equal(preds, want)
+
+
+def test_load_model_rejects_mismatched_parameters(tmp_path):
+    model, _, _ = small_trained_model(1, (3,))
+    path = tmp_path / "m.bin"
+    lstm.save_model(str(path), model)
+    magic, meta, rest = path.read_bytes().split(b"\n", 2)
+    for edit, message in (({"sizes": [4]}, "misshaped"), ({"param_keys": ["w1"]}, "do not match")):
+        bad = tmp_path / "bad.bin"
+        changed = dict(json.loads(meta), **edit)
+        bad.write_bytes(b"\n".join([magic, json.dumps(changed).encode(), rest]))
+        with pytest.raises(ValueError, match=message):
+            lstm.load_model(str(bad))
+    short = tmp_path / "short.bin"
+    short.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="truncated"):
+        lstm.load_model(str(short))
+
+
+def test_train_logs_each_epoch_at_debug_level(caplog):
+    ds = make_sine_task(n=12)
+    net = lstm.init_network(1, (3,), seed=7)
+    norm = NormParams(columns=("f0",), mins=np.zeros(1), maxs=np.ones(1))
+    config = lstm.TrainConfig(seed=7, batch_size=4, max_epochs=3, patience=None)
+    with caplog.at_level(logging.DEBUG, logger="coinseer.lstm"):
+        model = lstm.train(net, ds, ds, config, norm=norm)
+    lines = [r.getMessage() for r in caplog.records if r.name == "coinseer.lstm"]
+    assert all(r.levelno == logging.DEBUG for r in caplog.records if r.name == "coinseer.lstm")
+    assert lines == [
+        f"epoch {s.epoch}: train MSE {s.train_mse:.6g}, validation MSE {s.val_mse:.6g}"
+        for s in model.history
+    ] + [f"best epoch {model.best_epoch} of 3"]
 
 
 def test_predict_returns_price_units():

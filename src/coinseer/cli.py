@@ -13,6 +13,7 @@ import logging
 import os
 import re
 import sys
+import time
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 
@@ -339,13 +340,22 @@ def cmd_signals(args: argparse.Namespace) -> int:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    started = time.perf_counter()
     bundle, _ = build_bundle(cfg)
+    log.debug("bundle built in %.3fs", time.perf_counter() - started)
     os.makedirs(args.out, exist_ok=True)
     for name, cd in bundle.coins.items():
         matrix = signals.concat_signals(list(cd.signals.values()))
+        started = time.perf_counter()
         table = stats.correlation_table(matrix, cd.price.high)
+        computed = time.perf_counter()
         path = os.path.join(args.out, f"correlation_{name}.csv")
         stats.write_correlation_csv(path, table)
+        log.debug(
+            "%s: %d columns x %d days; correlation table %.3fs, CSV %.3fs",
+            name, len(matrix.columns), len(matrix.dates),
+            computed - started, time.perf_counter() - computed,
+        )
         print(f"wrote {path} ({len(table)} signals)")
     write_manifest(args.out, "correlate", 0, {"config": os.path.basename(cfg.path)})
     return 0

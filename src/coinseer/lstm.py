@@ -285,6 +285,9 @@ def backward(
     grads["bd"][0] = d.sum()
     d_seq = np.zeros_like(last_hidden)
     d_seq[:, -1] = d[:, None] * net.params["wd"][None, :]
+    # each earlier step's term of a dw or du sum lands here before it is
+    # added; one buffer serves every layer, so no step allocates
+    scratch = np.empty(max(p.size for p in net.params.values())) if k > 1 else None
     for li in range(len(net.sizes), 0, -1):
         lc = layers[li - 1]
         h = net.sizes[li - 1]
@@ -298,6 +301,9 @@ def backward(
         dh = np.zeros((batch, h))
         dc = np.zeros((batch, h))
         dz = np.empty((batch, 4 * h))
+        if scratch is not None:
+            dw_step = scratch[: dw.size].reshape(dw.shape)
+            du_step = scratch[: du.size].reshape(du.shape)
         for t in range(k - 1, -1, -1):
             dh_t = dh + d_seq[:, t]
             gi = lc.gates[:, t, :h]
@@ -321,7 +327,8 @@ def backward(
                 np.matmul(lc.inputs[:, t].T, dz, out=dw)
                 db[...] = dz.sum(axis=0)
             else:
-                dw += lc.inputs[:, t].T @ dz
+                np.matmul(lc.inputs[:, t].T, dz, out=dw_step)
+                dw += dw_step
                 db += dz.sum(axis=0)
             if d_in is not None:
                 d_in[:, t] = dz @ w.T
@@ -329,7 +336,8 @@ def backward(
                 if t == k - 1:
                     np.matmul(lc.hidden[:, t - 1].T, dz, out=du)
                 else:
-                    du += lc.hidden[:, t - 1].T @ dz
+                    np.matmul(lc.hidden[:, t - 1].T, dz, out=du_step)
+                    du += du_step
                 dh = dz @ u.T
                 dc = dc * gf
         d_seq = d_in

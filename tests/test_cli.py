@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -161,6 +163,34 @@ def test_verbose_logs_training_to_stderr_only(tmp_path):
     assert "DEBUG coinseer.lstm: best epoch " in proc.stderr
     for path in out.iterdir():
         assert b"validation MSE" not in path.read_bytes()
+
+
+def test_verbose_correlate_logs_timings_to_stderr_only(tmp_path):
+    src = synth_dir(tmp_path)
+    out = tmp_path / "corr"
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    runs = []
+    for flags in ([], ["-v"]):
+        if out.exists():
+            shutil.rmtree(out)
+        proc = subprocess.run(
+            [sys.executable, "-m", "coinseer.cli", *flags, "correlate",
+             "--config", str(src / "config.json"), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((proc.stdout, proc.stderr, files))
+    (quiet_out, quiet_err, quiet_files), (loud_out, loud_err, loud_files) = runs
+    assert loud_out == quiet_out and loud_files == quiet_files
+    assert quiet_err == ""
+    lines = loud_err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("DEBUG ") for line in lines)
+    assert ": bundle built in " in lines[0]
+    assert re.search(r": alphacoin: \d+ columns x 40 days; correlation table ", lines[1])
+    assert ", CSV " in lines[1]
 
 
 def test_forecast_rejects_junk_model(tmp_path, capsys):

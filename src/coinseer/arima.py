@@ -16,7 +16,6 @@ class ArimaModel:
     p: int
     intercept: float
     ar_coeffs: np.ndarray
-    fit_n: int
 
     def __post_init__(self) -> None:
         if self.ar_coeffs.shape != (self.p,):
@@ -61,7 +60,6 @@ def fit(y: np.ndarray, p: int) -> ArimaModel:
         p=p,
         intercept=float(beta[0]),
         ar_coeffs=beta[1:].copy(),
-        fit_n=int(rows),
     )
 
 

@@ -204,6 +204,14 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return _env_seed() if args.seed is None else args.seed
 
 
+def _family_list(text: str) -> tuple[str, ...]:
+    """A comma list of families, in canonical order; 'price' and 'none'
+    mean no family."""
+    if text in ("price", "none"):
+        return ()
+    return signals.parse_families(part.strip() for part in text.split(",") if part.strip())
+
+
 def _signal_subsets(
     keyword: str, available: tuple[str, ...]
 ) -> list[tuple[str, ...]]:
@@ -214,40 +222,21 @@ def _signal_subsets(
     families the powerset of those.
     """
     if keyword == "benchmark":
-        needed = {f for subset in harness_grid.BENCHMARK_SUBSETS for f in subset}
-        missing = sorted(needed - set(available))
-        if missing:
-            raise ValueError(
-                f"signal families unavailable for this data: {', '.join(missing)}"
-            )
-        return list(harness_grid.BENCHMARK_SUBSETS)
-    if keyword == "none":
-        return [()]
-    if keyword == "all":
-        families = available
+        subsets = list(harness_grid.BENCHMARK_SUBSETS)
+        families = {f for subset in subsets for f in subset}
     else:
-        families = tuple(part.strip() for part in keyword.split(",") if part.strip())
-        unknown = [f for f in families if f not in harness_grid.FAMILIES]
-        if unknown:
-            raise ValueError(f"unknown signal families: {', '.join(unknown)}")
-        missing = [f for f in families if f not in available]
-        if missing:
-            raise ValueError(
-                f"signal families unavailable for this data: {', '.join(missing)}"
-            )
-    ordered = tuple(f for f in harness_grid.FAMILIES if f in families)
-    return [
-        tuple(f for i, f in enumerate(ordered) if mask >> i & 1)
-        for mask in range(1 << len(ordered))
-    ]
+        families = available if keyword == "all" else _family_list(keyword)
+        subsets = signals.family_powerset(families)
+    missing = signals.parse_families(set(families) - set(available))
+    if missing:
+        raise ValueError(f"signal families unavailable for this data: {', '.join(missing)}")
+    return subsets
 
 
 def _available_families(bundle: harness_grid.DataBundle) -> tuple[str, ...]:
-    present = None
-    for cd in bundle.coins.values():
-        keys = set(cd.signals)
-        present = keys if present is None else present & keys
-    return tuple(f for f in harness_grid.FAMILIES if f in (present or set()))
+    return signals.parse_families(
+        set.intersection(*(set(cd.signals) for cd in bundle.coins.values()))
+    )
 
 
 def _bundle_for(args: argparse.Namespace, seed: int) -> harness_grid.DataBundle:
@@ -361,16 +350,6 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_subset(text: str) -> tuple[str, ...]:
-    if text in ("", "price", "none"):
-        return ()
-    families = tuple(part.strip() for part in text.split(",") if part.strip())
-    unknown = [f for f in families if f not in harness_grid.FAMILIES]
-    if unknown:
-        raise ValueError(f"unknown signal families: {', '.join(unknown)}")
-    return tuple(f for f in harness_grid.FAMILIES if f in families)
-
-
 def _run_options(args: argparse.Namespace, seed: int, k_max: int, j_max: int) -> harness_grid.RunOptions:
     return harness_grid.RunOptions(
         master_seed=seed,
@@ -393,7 +372,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     coin = args.coin or next(iter(bundle.coins))
     if coin not in bundle.coins:
         raise ValueError(f"unknown coin {coin!r}")
-    subset = _parse_subset(args.signal_set)
+    subset = _family_list(args.signal_set)
     cfg = harness_grid.ExperimentConfig(coin, "lstm", subset, args.k, args.j)
     options = _run_options(args, seed, k_max=args.k, j_max=args.j)
     result, model = harness_grid.train_lstm_experiment(cfg, bundle, options)
@@ -486,33 +465,11 @@ def _matrix_for_columns(
     """Rebuild the exact feature matrix a stored model was trained on,
     deriving the signal families (and language vocabulary) from the
     stored column names."""
-    calendar = price.dates
-    parts = [signals.price_high_signal(price)]
-    lang_tokens = [c[len("r_lang_") :] for c in columns if c.startswith("r_lang_")]
-    seen: set[str] = {signals.PRICE_COLUMN}
-    for column in columns:
-        if column == signals.PRICE_COLUMN or column in seen:
-            continue
-        if column == "gh_watch":
-            part = signals.github_popularity_signal(events, calendar)
-        elif column.startswith("gh_all_"):
-            part = signals.github_all_signal(events, calendar)
-        elif column == "r_vol":
-            part = signals.reddit_volume_signal(comments, calendar)
-        elif column.startswith("r_lang_"):
-            vocab = signals.Vocabulary(tokens=tuple(lang_tokens))
-            part = signals.reddit_language_signal(comments, vocab, calendar)
-        elif column.startswith("r_score_"):
-            part = signals.reddit_score_signal(comments, calendar)
-        elif column.startswith(("r_pol_", "r_subj_")):
-            part = signals.reddit_sentiment_signal(comments, lexicon, calendar)
-        elif column == "gh_fork":
-            continue
-        else:
-            raise ValueError(f"cannot rebuild signal column {column!r}")
-        parts.append(part)
-        seen.update(part.columns)
-    matrix = signals.concat_signals(parts)
+    families, vocabulary = signals.families_of_columns(columns)
+    extracted = signals.extract_families(
+        families, price.dates, comments, events, lexicon, vocabulary
+    )
+    matrix = signals.concat_signals([signals.price_high_signal(price), *extracted.values()])
     if matrix.columns != columns:
         raise ValueError(
             "rebuilt signal columns do not match the model's training columns"

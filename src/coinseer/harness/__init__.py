@@ -1,49 +1,1 @@
 """Ablation harness: grid enumeration, synthetic data, execution, reports."""
-
-from .grid import (
-    FAMILIES,
-    BENCHMARK_SUBSETS,
-    CoinData,
-    DataBundle,
-    ExperimentConfig,
-    ExperimentResult,
-    RankRow,
-    RunOptions,
-    assemble_coin,
-    config_id,
-    derive_seed,
-    enumerate_grid,
-    rank_models,
-    run_experiment,
-    run_grid,
-    signal_set_label,
-    train_lstm_experiment,
-)
-from .report import emit_report, load_results, save_results
-from .synthetic import SYNTH_COIN_NAMES, generate_synthetic_coin, synthetic_bundle
-
-__all__ = [
-    "FAMILIES",
-    "BENCHMARK_SUBSETS",
-    "CoinData",
-    "DataBundle",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "RankRow",
-    "RunOptions",
-    "SYNTH_COIN_NAMES",
-    "assemble_coin",
-    "config_id",
-    "derive_seed",
-    "emit_report",
-    "enumerate_grid",
-    "generate_synthetic_coin",
-    "load_results",
-    "rank_models",
-    "run_experiment",
-    "run_grid",
-    "save_results",
-    "signal_set_label",
-    "synthetic_bundle",
-    "train_lstm_experiment",
-]

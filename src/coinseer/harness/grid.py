@@ -17,18 +17,6 @@ from ..signals import PRICE_COLUMN, SentimentLexicon, SignalMatrix
 
 log = logging.getLogger(__name__)
 
-#: Signal family identifiers in canonical order.
-FAMILIES = ("gh_pop", "gh_all", "r_vol", "r_lang", "r_score", "r_sent")
-
-FAMILY_LABELS = {
-    "gh_pop": "GH_Pop",
-    "gh_all": "GH_All",
-    "r_vol": "R_Vol",
-    "r_lang": "R_Lang",
-    "r_score": "R_Score",
-    "r_sent": "R_Sent",
-}
-
 #: The LSTM signal subsets compared in the headline ranking.
 BENCHMARK_SUBSETS: tuple[tuple[str, ...], ...] = (
     (),
@@ -56,11 +44,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.model_kind not in ("arima", "lstm"):
             raise ValueError(f"unknown model kind {self.model_kind!r}")
-        for family in self.signal_set:
-            if family not in FAMILIES:
-                raise ValueError(f"unknown signal family {family!r}")
-        ordered = tuple(f for f in FAMILIES if f in self.signal_set)
-        if ordered != self.signal_set or len(set(self.signal_set)) != len(self.signal_set):
+        if signals.parse_families(self.signal_set) != self.signal_set:
             raise ValueError("signal_set must be unique and in canonical order")
         if self.j < 1:
             raise ValueError("j must be positive")
@@ -75,7 +59,7 @@ class ExperimentConfig:
 
 def signal_set_label(signal_set: Sequence[str]) -> str:
     """Display label: $ for price-only, $+<family>... otherwise."""
-    parts = ["$"] + [FAMILY_LABELS[f] for f in signal_set]
+    parts = ["$"] + [signals.FAMILIES[f].label for f in signal_set]
     return "+".join(parts)
 
 
@@ -106,30 +90,18 @@ def enumerate_grid(
 
     Per coin: the ARIMA baseline per j, then each LSTM signal subset
     crossed with k_range and j_range. Subsets default to the full
-    powerset of ``available``, enumerated in bitmask order.
+    powerset of ``available``, enumerated in bitmask order over the
+    canonical order.
     """
-    for family in available:
-        if family not in FAMILIES:
-            raise ValueError(f"unknown signal family {family!r}")
+    signals.parse_families(available)
     if not coins:
         raise ValueError("no coins")
     if not k_range or any(k < 1 for k in k_range):
         raise ValueError("k_range must be nonempty positive")
     if not j_range or any(j < 1 for j in j_range):
         raise ValueError("j_range must be nonempty positive")
-    if subsets is None:
-        chosen = [
-            tuple(f for i, f in enumerate(available) if mask >> i & 1)
-            for mask in range(1 << len(available))
-        ]
-    else:
-        chosen = [tuple(s) for s in subsets]
-    canonical = []
-    for subset in chosen:
-        ordered = tuple(f for f in FAMILIES if f in subset)
-        if len(ordered) != len(subset):
-            raise ValueError(f"bad signal subset {subset!r}")
-        canonical.append(ordered)
+    chosen = signals.family_powerset(available) if subsets is None else subsets
+    canonical = [signals.parse_families(subset) for subset in chosen]
     configs: list[ExperimentConfig] = []
     for coin in coins:
         for j in j_range:
@@ -162,10 +134,6 @@ class DataBundle:
         if len(calendars) != 1:
             raise ValueError("coins must share one calendar")
 
-    @property
-    def dates(self) -> tuple[date, ...]:
-        return next(iter(self.coins.values())).price.dates
-
 
 def assemble_coin(
     price: PriceSeries,
@@ -179,22 +147,15 @@ def assemble_coin(
     The language family is skipped (with a log line) when the comment
     corpus is empty, since no vocabulary can be built.
     """
-    calendar = price.dates
-    extracted: dict[str, SignalMatrix] = {
-        "gh_pop": signals.github_popularity_signal(events, calendar),
-        "gh_all": signals.github_all_signal(events, calendar),
-        "r_vol": signals.reddit_volume_signal(comments, calendar),
-        "r_score": signals.reddit_score_signal(comments, calendar),
-        "r_sent": signals.reddit_sentiment_signal(comments, lexicon, calendar),
-    }
     try:
-        vocab = signals.build_vocabulary(comments, vocab_size)
+        vocabulary = signals.build_vocabulary(comments, vocab_size)
     except ValueError:
         log.warning("%s: empty comment corpus, language signal unavailable", price.coin)
-    else:
-        extracted["r_lang"] = signals.reddit_language_signal(comments, vocab, calendar)
-    ordered = {f: extracted[f] for f in FAMILIES if f in extracted}
-    return CoinData(price=price, signals=ordered)
+        vocabulary = None
+    extracted = signals.extract_families(
+        signals.FAMILIES, price.dates, comments, events, lexicon, vocabulary
+    )
+    return CoinData(price=price, signals=extracted)
 
 
 @dataclass(frozen=True)

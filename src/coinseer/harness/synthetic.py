@@ -10,7 +10,7 @@ from datetime import date, datetime, time, timedelta, timezone
 import numpy as np
 
 from ..ingest import EVENT_TYPES, CommentRecord, EventRecord, PriceSeries, daily_calendar
-from ..signals import SentimentLexicon, bundled_lexicon
+from ..signals import bundled_lexicon
 from .grid import CoinData, DataBundle, assemble_coin, derive_seed
 
 SYNTH_COIN_NAMES = (
@@ -148,13 +148,11 @@ def synthetic_bundle(
     master_seed: int,
     days: int,
     n_coins: int = 2,
-    lexicon: SentimentLexicon | None = None,
 ) -> DataBundle:
     """A ready-to-run bundle of synthetic coins on one shared calendar."""
     if not 1 <= n_coins <= len(SYNTH_COIN_NAMES):
         raise ValueError(f"n_coins must lie in [1, {len(SYNTH_COIN_NAMES)}]")
-    if lexicon is None:
-        lexicon = bundled_lexicon()
+    lexicon = bundled_lexicon()
     coins: dict[str, CoinData] = {}
     for name in SYNTH_COIN_NAMES[:n_coins]:
         price, comments, events = generate_synthetic_coin(

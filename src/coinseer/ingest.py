@@ -88,13 +88,6 @@ class PriceSeries:
     def __len__(self) -> int:
         return len(self.dates)
 
-    def index_of(self, day: date) -> int:
-        """Position of ``day`` in the series, or ValueError if absent."""
-        try:
-            return self.dates.index(day)
-        except ValueError:
-            raise ValueError(f"date {day} not in price series for {self.coin}") from None
-
 
 def day_of(created_utc: int) -> date:
     """UTC calendar day of an epoch timestamp."""

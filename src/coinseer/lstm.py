@@ -188,12 +188,8 @@ def init_network(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def forward_batch(net: Network, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -242,15 +238,6 @@ def forward_batch(net: Network, windows: np.ndarray) -> tuple[np.ndarray, Forwar
         seq = hidden
     preds = seq[:, -1] @ net.params["wd"] + net.params["bd"][0]
     return preds, ForwardCache(tuple(layers))
-
-
-def forward(net: Network, window: np.ndarray) -> tuple[float, ForwardCache]:
-    """Prediction for a single (k, input_dim) window."""
-    w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValueError(f"window must be 2-d, got shape {w.shape}")
-    preds, cache = forward_batch(net, w[None])
-    return float(preds[0]), cache
 
 
 def backward(

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -64,11 +63,3 @@ def evaluate(predictions: np.ndarray, truth: np.ndarray) -> MetricsReport:
         rmspe_ci=rmspe_ci,
         rmse=float(np.sqrt(((preds - true) ** 2).mean())),
     )
-
-
-def mean_rmspe(reports: Iterable[MetricsReport]) -> float:
-    """Plain mean of rmspe over a group of reports."""
-    values = [r.rmspe for r in reports]
-    if not values:
-        raise ValueError("no reports to average")
-    return float(np.mean(values))

@@ -11,8 +11,10 @@ import csv
 import re
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cache
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +33,13 @@ DEFAULT_VOCAB_SIZE = 10000
 
 #: Column name of the forecast target in assembled feature matrices.
 PRICE_COLUMN = "price_high"
+
+_GH_ALL_COLUMNS = tuple(f"gh_all_{name.lower()}" for name in EVENT_TYPES)
+_GH_POP_COLUMNS = ("gh_watch", "gh_fork")
+_R_VOL_COLUMNS = ("r_vol",)
+_R_SCORE_COLUMNS = ("r_score_q1", "r_score_q2", "r_score_q3")
+_R_SENT_COLUMNS = ("r_pol_q1", "r_pol_q2", "r_pol_q3", "r_subj_q1", "r_subj_q2", "r_subj_q3")
+_LANG_PREFIX = "r_lang_"
 
 
 @dataclass(frozen=True)
@@ -194,23 +203,6 @@ def _matrix(
     return SignalMatrix(tuple(calendar), tuple(columns), values)
 
 
-def github_popularity_signal(
-    events: Iterable[EventRecord], calendar: Sequence[date]
-) -> SignalMatrix:
-    """Daily Watch and Fork counts: columns gh_watch, gh_fork."""
-    index = {d: i for i, d in enumerate(calendar)}
-    values = np.zeros((len(calendar), 2), dtype=np.float64)
-    col = {"Watch": 0, "Fork": 1}
-    for rec in events:
-        j = col.get(rec.event_type)
-        if j is None:
-            continue
-        i = index.get(day_of(rec.created_utc))
-        if i is not None:
-            values[i, j] += 1.0
-    return _matrix(calendar, ("gh_watch", "gh_fork"), values)
-
-
 def github_all_signal(
     events: Iterable[EventRecord], calendar: Sequence[date]
 ) -> SignalMatrix:
@@ -222,8 +214,14 @@ def github_all_signal(
         i = index.get(day_of(rec.created_utc))
         if i is not None:
             values[i, col[rec.event_type]] += 1.0
-    columns = tuple(f"gh_all_{name.lower()}" for name in EVENT_TYPES)
-    return _matrix(calendar, columns, values)
+    return _matrix(calendar, _GH_ALL_COLUMNS, values)
+
+
+def github_popularity_signal(gh_all: SignalMatrix) -> SignalMatrix:
+    """Daily Watch and Fork counts, columns gh_watch and gh_fork: the
+    gh_all_watch and gh_all_fork columns of ``gh_all``, renamed."""
+    values = np.stack([gh_all.column("gh_all_watch"), gh_all.column("gh_all_fork")], axis=1)
+    return _matrix(gh_all.dates, _GH_POP_COLUMNS, values)
 
 
 def reddit_volume_signal(
@@ -232,7 +230,7 @@ def reddit_volume_signal(
     """Daily comment count: column r_vol."""
     buckets = _bucket_comments(comments, calendar)
     values = np.array([[float(len(b))] for b in buckets], dtype=np.float64)
-    return _matrix(calendar, ("r_vol",), values)
+    return _matrix(calendar, _R_VOL_COLUMNS, values)
 
 
 def reddit_language_signal(
@@ -257,8 +255,7 @@ def reddit_language_signal(
         total = values[i].sum()
         if total > 0:
             values[i] /= total
-    columns = tuple(f"r_lang_{t}" for t in vocabulary.tokens)
-    return _matrix(calendar, columns, values)
+    return _matrix(calendar, _language_columns(vocabulary), values)
 
 
 def reddit_score_signal(
@@ -268,7 +265,7 @@ def reddit_score_signal(
     values = np.zeros((len(calendar), 3), dtype=np.float64)
     for i, bucket in enumerate(_bucket_comments(comments, calendar)):
         values[i] = quartiles([rec.score for rec in bucket])
-    return _matrix(calendar, ("r_score_q1", "r_score_q2", "r_score_q3"), values)
+    return _matrix(calendar, _R_SCORE_COLUMNS, values)
 
 
 def reddit_sentiment_signal(
@@ -285,8 +282,94 @@ def reddit_sentiment_signal(
         scored = [score_sentiment(rec.body, lexicon) for rec in bucket]
         values[i, :3] = quartiles([s[0] for s in scored])
         values[i, 3:] = quartiles([s[1] for s in scored])
-    columns = ("r_pol_q1", "r_pol_q2", "r_pol_q3", "r_subj_q1", "r_subj_q2", "r_subj_q3")
-    return _matrix(calendar, columns, values)
+    return _matrix(calendar, _R_SENT_COLUMNS, values)
+
+
+@dataclass(frozen=True)
+class Family:
+    """A signal family: name, display label, column names given the
+    language vocabulary, and extractor. The extractor reads the sources
+    that extract_families gathers and gives None when it cannot extract."""
+
+    name: str
+    label: str
+    columns: Callable[[Vocabulary | None], tuple[str, ...]]
+    extract: Callable[[SimpleNamespace], SignalMatrix | None]
+
+
+def _language_columns(vocabulary: Vocabulary | None) -> tuple[str, ...]:
+    return () if vocabulary is None else tuple(_LANG_PREFIX + t for t in vocabulary.tokens)
+
+
+#: Every signal family, keyed by name, in canonical order.
+FAMILIES: Mapping[str, Family] = {
+    f.name: f
+    for f in (
+        Family("gh_pop", "GH_Pop", lambda v: _GH_POP_COLUMNS,
+               lambda s: github_popularity_signal(s.gh_all())),
+        Family("gh_all", "GH_All", lambda v: _GH_ALL_COLUMNS, lambda s: s.gh_all()),
+        Family("r_vol", "R_Vol", lambda v: _R_VOL_COLUMNS,
+               lambda s: reddit_volume_signal(s.comments, s.calendar)),
+        Family("r_lang", "R_Lang", _language_columns,
+               lambda s: None if s.vocabulary is None
+               else reddit_language_signal(s.comments, s.vocabulary, s.calendar)),
+        Family("r_score", "R_Score", lambda v: _R_SCORE_COLUMNS,
+               lambda s: reddit_score_signal(s.comments, s.calendar)),
+        Family("r_sent", "R_Sent", lambda v: _R_SENT_COLUMNS,
+               lambda s: reddit_sentiment_signal(s.comments, s.lexicon, s.calendar)),
+    )
+}
+
+
+def parse_families(names: Iterable[str]) -> tuple[str, ...]:
+    """``names`` without repeats, in canonical order."""
+    names = list(names)
+    unknown = [n for n in names if n not in FAMILIES]
+    if unknown:
+        raise ValueError(f"unknown signal families: {', '.join(unknown)}")
+    return tuple(f for f in FAMILIES if f in names)
+
+
+def family_powerset(names: Iterable[str]) -> list[tuple[str, ...]]:
+    """Every subset of the families ``names``, in bitmask order over
+    their canonical order (the empty set first)."""
+    ordered = parse_families(names)
+    return [
+        tuple(f for i, f in enumerate(ordered) if mask >> i & 1)
+        for mask in range(1 << len(ordered))
+    ]
+
+
+def extract_families(
+    names: Iterable[str],
+    calendar: Sequence[date],
+    comments: Sequence[CommentRecord],
+    events: Sequence[EventRecord],
+    lexicon: SentimentLexicon,
+    vocabulary: Vocabulary | None,
+) -> dict[str, SignalMatrix]:
+    """The named families on ``calendar``, in canonical order. r_lang is
+    left out when there is no vocabulary."""
+    calendar = tuple(calendar)
+    sources = SimpleNamespace(
+        calendar=calendar, comments=comments, lexicon=lexicon, vocabulary=vocabulary,
+        # gh_pop is a slice of gh_all, so both read the events once
+        gh_all=cache(lambda: github_all_signal(events, calendar)),
+    )
+    extracted = {f: FAMILIES[f].extract(sources) for f in parse_families(names)}
+    return {f: m for f, m in extracted.items() if m is not None}
+
+
+def families_of_columns(columns: Sequence[str]) -> tuple[tuple[str, ...], Vocabulary | None]:
+    """The families, in canonical order, and the language vocabulary that
+    the columns of a feature matrix name."""
+    tokens = tuple(c[len(_LANG_PREFIX) :] for c in columns if c.startswith(_LANG_PREFIX))
+    vocabulary = Vocabulary(tokens) if tokens else None
+    owner = {c: f.name for f in FAMILIES.values() for c in f.columns(vocabulary)}
+    for column in columns:
+        if column != PRICE_COLUMN and column not in owner:
+            raise ValueError(f"cannot rebuild signal column {column!r}")
+    return parse_families({owner[c] for c in columns if c in owner}), vocabulary
 
 
 def price_high_signal(price: PriceSeries) -> SignalMatrix:
@@ -305,8 +388,6 @@ def concat_signals(parts: Sequence[SignalMatrix]) -> SignalMatrix:
     columns: list[str] = []
     for part in parts:
         columns.extend(part.columns)
-    if len(set(columns)) != len(columns):
-        raise ValueError("column name collision in concatenation")
     values = np.hstack([part.values for part in parts])
     return _matrix(first.dates, columns, values)
 

@@ -14,7 +14,8 @@ from datetime import date, timedelta
 import numpy as np
 from scipy import stats as sps
 
-from coinseer import arima, cli, dataset, harness, ingest, lstm, metrics, signals, stats
+from coinseer import arima, cli, dataset, ingest, lstm, metrics, signals, stats
+from coinseer.harness import grid, synthetic
 from coinseer.harness import report as harness_report
 from coinseer.ingest import daily_calendar
 from coinseer.signals import SignalMatrix
@@ -382,20 +383,20 @@ def benchmark_results():
     for (kind, subset), by_j in BENCHMARK_RMSPE.items():
         for j, values in by_j.items():
             for coin, rmspe in zip(("btc", "eth", "xmr"), values):
-                cfg = harness.ExperimentConfig(
+                cfg = grid.ExperimentConfig(
                     coin, kind, subset, 0 if kind == "arima" else 1, j
                 )
                 report = metrics.MetricsReport(
                     n=30, mape=rmspe * 0.7, mape_ci=1.0, maxape=rmspe * 4,
                     mspe=rmspe**2, rmspe=rmspe, rmspe_ci=3.0, rmse=1.0,
                 )
-                results.append(harness.ExperimentResult(cfg, report))
+                results.append(grid.ExperimentResult(cfg, report))
     return results
 
 
 def test_benchmark_ranking_reproduces_reference_order(capfd):
     with verdict(8, "ranking reproduces the frozen benchmark order and means", capfd):
-        rows = harness.rank_models(benchmark_results())
+        rows = grid.rank_models(benchmark_results())
         assert [r.label for r in rows] == [label for label, _, _ in EXPECTED_RANKING]
         assert rows[0].label == "LSTM $+R_Lang"
         for row, (label, mean, per_j) in zip(rows, EXPECTED_RANKING):
@@ -406,17 +407,17 @@ def test_benchmark_ranking_reproduces_reference_order(capfd):
 
 def test_everything_is_bitwise_deterministic(tmp_path, capfd):
     with verdict(9, "repeated runs are bitwise identical, including parallel ones", capfd):
-        bundle = harness.synthetic_bundle(12, days=60, n_coins=1)
-        configs = harness.enumerate_grid(
+        bundle = synthetic.synthetic_bundle(12, days=60, n_coins=1)
+        configs = grid.enumerate_grid(
             ["alphacoin"], ["gh_pop"], [1, 2], [1], subsets=[(), ("gh_pop",)],
         )
-        options = harness.RunOptions(
+        options = grid.RunOptions(
             master_seed=12, k_max=2, j_max=1, sizes=(5,), batch_size=8,
             max_epochs=3, patience=None, max_lag=2,
         )
-        first = harness.run_grid(configs, bundle, options, jobs=1)
-        second = harness.run_grid(configs, bundle, options, jobs=1)
-        parallel = harness.run_grid(configs, bundle, options, jobs=4)
+        first = grid.run_grid(configs, bundle, options, jobs=1)
+        second = grid.run_grid(configs, bundle, options, jobs=1)
+        parallel = grid.run_grid(configs, bundle, options, jobs=4)
         for other in (second, parallel):
             assert len(other) == len(first)
             for a, b in zip(first, other):
@@ -426,19 +427,19 @@ def test_everything_is_bitwise_deterministic(tmp_path, capfd):
 
         cfg = configs[1]
         assert cfg.model_kind == "lstm"
-        _, model_a = harness.train_lstm_experiment(cfg, bundle, options)
-        _, model_b = harness.train_lstm_experiment(cfg, bundle, options)
+        _, model_a = grid.train_lstm_experiment(cfg, bundle, options)
+        _, model_b = grid.train_lstm_experiment(cfg, bundle, options)
         path_a = tmp_path / "a.bin"
         path_b = tmp_path / "b.bin"
         lstm.save_model(str(path_a), model_a)
         lstm.save_model(str(path_b), model_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
-        other_seed = harness.RunOptions(
+        other_seed = grid.RunOptions(
             master_seed=13, k_max=2, j_max=1, sizes=(5,), batch_size=8,
             max_epochs=3, patience=None, max_lag=2,
         )
-        _, model_c = harness.train_lstm_experiment(cfg, bundle, other_seed)
+        _, model_c = grid.train_lstm_experiment(cfg, bundle, other_seed)
         path_c = tmp_path / "c.bin"
         lstm.save_model(str(path_c), model_c)
         assert path_c.read_bytes() != path_a.read_bytes()

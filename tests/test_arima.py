@@ -24,17 +24,16 @@ def test_fit_known_series():
     model = arima.fit([1.0, 2.0, 4.0, 7.0, 11.0, 16.0], p=1)
     npt.assert_allclose(model.intercept, 1.0, atol=1e-10)
     npt.assert_allclose(model.ar_coeffs, [1.0], atol=1e-10)
-    assert model.fit_n == 4
 
 
 def test_forecast_iterates_differences():
-    model = arima.ArimaModel(p=1, intercept=1.0, ar_coeffs=np.array([1.0]), fit_n=4)
+    model = arima.ArimaModel(p=1, intercept=1.0, ar_coeffs=np.array([1.0]))
     history = np.array([1.0, 2.0, 4.0, 7.0, 11.0, 16.0])
     # next diffs: 6 then 7, so levels 22 and 29
     npt.assert_allclose(arima.forecast(model, history, 1), 22.0)
     npt.assert_allclose(arima.forecast(model, history, 2), 29.0)
 
-    drift = arima.ArimaModel(p=0, intercept=0.5, ar_coeffs=np.zeros(0), fit_n=9)
+    drift = arima.ArimaModel(p=0, intercept=0.5, ar_coeffs=np.zeros(0))
     npt.assert_allclose(arima.forecast(drift, [3.0, 4.0], 4), 6.0)
 
 
@@ -74,7 +73,7 @@ def test_fit_rejects_degenerate_input():
 
 
 def test_forecast_rejects_bad_input():
-    model = arima.ArimaModel(p=2, intercept=0.0, ar_coeffs=np.array([0.5, 0.1]), fit_n=5)
+    model = arima.ArimaModel(p=2, intercept=0.0, ar_coeffs=np.array([0.5, 0.1]))
     with pytest.raises(ValueError, match="at least 3"):
         arima.forecast(model, [1.0, 2.0], 1)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Command line workflows: synth, ingest, signals, train, forecast, ablate."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -9,7 +10,8 @@ import sys
 
 import pytest
 
-from coinseer import cli
+from coinseer import cli, signals
+from coinseer.harness import grid
 from coinseer.signals import read_signal_csv
 
 
@@ -96,6 +98,12 @@ def test_ingest_reports_summary(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "alphacoin: 40 days" in stdout
     assert "comments" in stdout and "events" in stdout
+    # a missing price day inside the range is forward-filled and counted
+    price = out / "price_alphacoin.csv"
+    lines = price.read_text().splitlines()
+    price.write_text("\n".join(lines[:10] + lines[11:]) + "\n")
+    assert run(["ingest", "--config", str(out / "config.json")]) == 0
+    assert "alphacoin: 40 days 2020-01-01..2020-02-09 (1 forward-filled)" in capsys.readouterr().out
 
 
 def test_signals_and_correlate_write_csvs(tmp_path, capsys):
@@ -143,6 +151,65 @@ def test_train_then_forecast_round_trip(tmp_path, capsys):
     assert payload["horizon_days"] == 1
     assert payload["target_date"] > payload["anchor_date"]
     assert isinstance(payload["prediction_usd"], float)
+
+
+def record_matrices(monkeypatch):
+    """Keep every training matrix and every matrix forecast rebuilds."""
+    seen = {"trained": [], "rebuilt": []}
+    for module, name, key in ((grid, "_feature_matrix", "trained"),
+                              (cli, "_matrix_for_columns", "rebuilt")):
+        def keep(*args, _fn=getattr(module, name), _key=key):
+            matrix = _fn(*args)
+            seen[_key].append(matrix)
+            return matrix
+        monkeypatch.setattr(module, name, keep)
+    return seen
+
+
+def train_and_forecast(tmp_path, config, signal_set, forecast_config=None):
+    out = tmp_path / f"trained_{signal_set}"
+    assert run(["train", "--config", str(config), "--signal-set", signal_set,
+                "--k", "2", "--j", "1", "--sizes", "4", "--epochs", "2",
+                "--seed", "3", "--out", str(out)]) == 0
+    (model,) = out.glob("model_*.bin")
+    return run(["forecast", "--model", str(model),
+                "--config", str(forecast_config or config)])
+
+
+def test_forecast_rebuilds_the_training_matrix_of_every_family(tmp_path, capsys, monkeypatch):
+    src = synth_dir(tmp_path, days=40)
+    seen = record_matrices(monkeypatch)
+    subsets = list(signals.FAMILIES) + [",".join(signals.FAMILIES)]
+    for signal_set in subsets:
+        assert train_and_forecast(tmp_path, src / "config.json", signal_set) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["coin"] == "alphacoin"
+    assert len(seen["trained"]) == len(seen["rebuilt"]) == len(subsets)
+    for signal_set, trained, rebuilt in zip(subsets, seen["trained"], seen["rebuilt"]):
+        families = signal_set.split(",")
+        assert len(trained.columns) > len(families), signal_set
+        assert rebuilt.columns == trained.columns
+        assert rebuilt.dates == trained.dates
+        assert rebuilt.values.tobytes() == trained.values.tobytes(), signal_set
+
+
+def test_forecast_without_comments_gives_zero_language_rows(tmp_path, capsys, monkeypatch):
+    src = synth_dir(tmp_path, days=40)
+    config = json.loads((src / "config.json").read_text())
+    empty = tmp_path / "no_comments.ndjson"
+    empty.write_text("")
+    config["coins"][0]["reddit_ndjson"] = str(empty)
+    quiet = src / "quiet.json"
+    quiet.write_text(json.dumps(config))
+    seen = record_matrices(monkeypatch)
+    assert train_and_forecast(tmp_path, src / "config.json", "r_lang", quiet) == 0
+    payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert math.isfinite(payload["prediction_usd"])
+    (trained,), (rebuilt,) = seen["trained"], seen["rebuilt"]
+    assert rebuilt.columns == trained.columns
+    lang = [i for i, c in enumerate(rebuilt.columns) if c.startswith("r_lang_")]
+    assert lang and trained.values[:, lang].any()
+    assert not rebuilt.values[:, lang].any()
 
 
 def test_verbose_logs_training_to_stderr_only(tmp_path):

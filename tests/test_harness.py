@@ -7,7 +7,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from coinseer import harness, stats
+from coinseer import stats
+from coinseer.harness import grid, synthetic
+from coinseer.harness import report as harness_report
 from coinseer.metrics import MetricsReport
 from coinseer.signals import bundled_lexicon
 
@@ -18,76 +20,76 @@ def small_options(**overrides):
         max_epochs=4, patience=None, max_lag=2,
     )
     base.update(overrides)
-    return harness.RunOptions(**base)
+    return grid.RunOptions(**base)
 
 
 def fake_result(coin, kind, subset, j, rmspe, k=1):
-    cfg = harness.ExperimentConfig(coin, kind, tuple(subset), 0 if kind == "arima" else k, j)
+    cfg = grid.ExperimentConfig(coin, kind, tuple(subset), 0 if kind == "arima" else k, j)
     report = MetricsReport(
         n=10, mape=rmspe * 0.8, mape_ci=0.3, maxape=rmspe * 2,
         mspe=rmspe**2, rmspe=rmspe, rmspe_ci=0.4, rmse=1.0,
     )
-    return harness.ExperimentResult(cfg, report)
+    return grid.ExperimentResult(cfg, report)
 
 
 def test_signal_set_label():
-    assert harness.signal_set_label(()) == "$"
-    assert harness.signal_set_label(("r_lang",)) == "$+R_Lang"
-    assert harness.signal_set_label(("gh_pop", "r_lang")) == "$+GH_Pop+R_Lang"
+    assert grid.signal_set_label(()) == "$"
+    assert grid.signal_set_label(("r_lang",)) == "$+R_Lang"
+    assert grid.signal_set_label(("gh_pop", "r_lang")) == "$+GH_Pop+R_Lang"
 
 
 def test_config_id_and_validation():
-    cfg = harness.ExperimentConfig("btc", "lstm", ("gh_pop", "r_vol"), 7, 2)
-    assert harness.config_id(cfg) == "btc_lstm_gh_pop-r_vol_k7_j2"
-    baseline = harness.ExperimentConfig("btc", "arima", (), 0, 1)
-    assert harness.config_id(baseline) == "btc_arima_price_j1"
+    cfg = grid.ExperimentConfig("btc", "lstm", ("gh_pop", "r_vol"), 7, 2)
+    assert grid.config_id(cfg) == "btc_lstm_gh_pop-r_vol_k7_j2"
+    baseline = grid.ExperimentConfig("btc", "arima", (), 0, 1)
+    assert grid.config_id(baseline) == "btc_arima_price_j1"
     with pytest.raises(ValueError):
-        harness.ExperimentConfig("btc", "lstm", ("r_vol", "gh_pop"), 7, 2)
+        grid.ExperimentConfig("btc", "lstm", ("r_vol", "gh_pop"), 7, 2)
     with pytest.raises(ValueError):
-        harness.ExperimentConfig("btc", "arima", ("r_vol",), 0, 1)
+        grid.ExperimentConfig("btc", "arima", ("r_vol",), 0, 1)
     with pytest.raises(ValueError):
-        harness.ExperimentConfig("btc", "lstm", (), 0, 1)
+        grid.ExperimentConfig("btc", "lstm", (), 0, 1)
     with pytest.raises(ValueError):
-        harness.ExperimentConfig("btc", "hmm", (), 1, 1)
+        grid.ExperimentConfig("btc", "hmm", (), 1, 1)
 
 
 def test_derive_seed_is_stable_and_label_sensitive():
-    a = harness.derive_seed(7, "init", "btc_lstm_k1_j1")
-    assert a == harness.derive_seed(7, "init", "btc_lstm_k1_j1")
-    assert a != harness.derive_seed(8, "init", "btc_lstm_k1_j1")
-    assert a != harness.derive_seed(7, "train", "btc_lstm_k1_j1")
+    a = grid.derive_seed(7, "init", "btc_lstm_k1_j1")
+    assert a == grid.derive_seed(7, "init", "btc_lstm_k1_j1")
+    assert a != grid.derive_seed(8, "init", "btc_lstm_k1_j1")
+    assert a != grid.derive_seed(7, "train", "btc_lstm_k1_j1")
     assert 0 <= a < 2**64
 
 
 def test_enumerate_grid_order_and_counts():
-    configs = harness.enumerate_grid(
+    configs = grid.enumerate_grid(
         ["a", "b"], ["gh_pop", "r_vol"], k_range=[1, 2], j_range=[1],
     )
     per_coin = 1 + 4 * 2  # one arima j, four subsets x two k
     assert len(configs) == 2 * per_coin
-    assert configs[0] == harness.ExperimentConfig("a", "arima", (), 0, 1)
+    assert configs[0] == grid.ExperimentConfig("a", "arima", (), 0, 1)
     assert configs[1].signal_set == ()
     assert configs[3].signal_set == ("gh_pop",)
     subsets = [c.signal_set for c in configs[1:per_coin:2]]
     assert subsets == [(), ("gh_pop",), ("r_vol",), ("gh_pop", "r_vol")]
     assert all(c.coin == "a" for c in configs[:per_coin])
 
-    explicit = harness.enumerate_grid(
+    explicit = grid.enumerate_grid(
         ["a"], ["gh_pop", "r_lang"], [1], [1, 3], subsets=[(), ("r_lang",)],
     )
     assert [c.j for c in explicit if c.model_kind == "arima"] == [1, 3]
     assert len(explicit) == 2 + 2 * 2
 
     with pytest.raises(ValueError):
-        harness.enumerate_grid(["a"], ["nope"], [1], [1])
+        grid.enumerate_grid(["a"], ["nope"], [1], [1])
     with pytest.raises(ValueError):
-        harness.enumerate_grid(["a"], ["gh_pop"], [0], [1])
+        grid.enumerate_grid(["a"], ["gh_pop"], [0], [1])
     with pytest.raises(ValueError):
-        harness.enumerate_grid(["a"], ["gh_pop"], [1], [1], subsets=[("bogus",)])
+        grid.enumerate_grid(["a"], ["gh_pop"], [1], [1], subsets=[("bogus",)])
 
 
 def test_synthetic_coin_is_valid_and_deterministic():
-    price, comments, events = harness.generate_synthetic_coin("alphacoin", 11, 90)
+    price, comments, events = synthetic.generate_synthetic_coin("alphacoin", 11, 90)
     assert len(price) == 90
     assert np.all(price.low > 0)
     assert np.all(price.high >= price.low)
@@ -95,19 +97,19 @@ def test_synthetic_coin_is_valid_and_deterministic():
     assert comments and events
     for rec in comments[:50]:
         assert rec.body
-    price2, comments2, events2 = harness.generate_synthetic_coin("alphacoin", 11, 90)
+    price2, comments2, events2 = synthetic.generate_synthetic_coin("alphacoin", 11, 90)
     npt.assert_array_equal(price.high, price2.high)
     assert comments == comments2 and events == events2
-    price3, _, _ = harness.generate_synthetic_coin("alphacoin", 12, 90)
+    price3, _, _ = synthetic.generate_synthetic_coin("alphacoin", 12, 90)
     assert not np.array_equal(price.high, price3.high)
     with pytest.raises(ValueError):
-        harness.generate_synthetic_coin("alphacoin", 1, 10)
+        synthetic.generate_synthetic_coin("alphacoin", 1, 10)
 
 
 def test_synthetic_popularity_tracks_price():
     wins = 0
     for seed in range(10):
-        bundle = harness.synthetic_bundle(seed, days=150, n_coins=1)
+        bundle = synthetic.synthetic_bundle(seed, days=150, n_coins=1)
         cd = bundle.coins["alphacoin"]
         watch = cd.signals["gh_pop"].column("gh_watch")
         r, _ = stats.pearson(watch, cd.price.high)
@@ -117,7 +119,7 @@ def test_synthetic_popularity_tracks_price():
 
 
 def test_assemble_coin_builds_all_families():
-    bundle = harness.synthetic_bundle(5, days=60, n_coins=2)
+    bundle = synthetic.synthetic_bundle(5, days=60, n_coins=2)
     assert set(bundle.coins) == {"alphacoin", "betacoin"}
     for cd in bundle.coins.values():
         assert set(cd.signals) == {
@@ -125,17 +127,17 @@ def test_assemble_coin_builds_all_families():
         }
         for matrix in cd.signals.values():
             assert matrix.dates == cd.price.dates
-    assert bundle.dates == bundle.coins["alphacoin"].price.dates
+    assert bundle.coins["betacoin"].price.dates == bundle.coins["alphacoin"].price.dates
 
 
 def test_run_grid_end_to_end_small():
-    bundle = harness.synthetic_bundle(3, days=60, n_coins=1)
-    configs = harness.enumerate_grid(
+    bundle = synthetic.synthetic_bundle(3, days=60, n_coins=1)
+    configs = grid.enumerate_grid(
         ["alphacoin"], ["gh_pop"], [1], [1, 2], subsets=[(), ("gh_pop",)],
     )
     options = small_options()
     seen = []
-    results = harness.run_grid(configs, bundle, options, jobs=1, progress=seen.append)
+    results = grid.run_grid(configs, bundle, options, jobs=1, progress=seen.append)
     assert len(results) == len(configs) == 6
     assert len(seen) == 6
     assert all(r.error is None for r in results)
@@ -144,7 +146,7 @@ def test_run_grid_end_to_end_small():
         for day, truth, pred in r.predictions:
             assert isinstance(day, date)
             assert truth > 0
-    by_id = {harness.config_id(r.config): r for r in results}
+    by_id = {grid.config_id(r.config): r for r in results}
     assert "alphacoin_arima_price_j1" in by_id
     # identical test anchors across every config at the same horizon
     for j in (1, 2):
@@ -154,22 +156,22 @@ def test_run_grid_end_to_end_small():
         }
         assert len(target_sets) == 1
 
-    rows = harness.rank_models(results)
+    rows = grid.rank_models(results)
     assert len(rows) == 3
     assert [j for j, _ in rows[0].rmspe_by_j] == [1, 2]
     assert rows == sorted(rows, key=lambda r: (r.mean, r.label))
 
 
 def test_run_grid_parallel_matches_serial():
-    bundle = harness.synthetic_bundle(4, days=60, n_coins=1)
-    configs = harness.enumerate_grid(
+    bundle = synthetic.synthetic_bundle(4, days=60, n_coins=1)
+    configs = grid.enumerate_grid(
         ["alphacoin"], ["r_vol"], [1], [1], subsets=[(), ("r_vol",)],
     )
     options = small_options()
-    serial = harness.run_grid(configs, bundle, options, jobs=1)
-    parallel = harness.run_grid(configs, bundle, options, jobs=3)
-    assert [harness.config_id(r.config) for r in serial] == [
-        harness.config_id(r.config) for r in parallel
+    serial = grid.run_grid(configs, bundle, options, jobs=1)
+    parallel = grid.run_grid(configs, bundle, options, jobs=3)
+    assert [grid.config_id(r.config) for r in serial] == [
+        grid.config_id(r.config) for r in parallel
     ]
     for a, b in zip(serial, parallel):
         assert a.predictions == b.predictions
@@ -177,9 +179,9 @@ def test_run_grid_parallel_matches_serial():
 
 
 def test_run_experiment_reports_failure_instead_of_raising():
-    bundle = harness.synthetic_bundle(6, days=60, n_coins=1)
-    cfg = harness.ExperimentConfig("alphacoin", "lstm", (), 54, 2)
-    result = harness.run_experiment(cfg, bundle, small_options(k_max=54))
+    bundle = synthetic.synthetic_bundle(6, days=60, n_coins=1)
+    cfg = grid.ExperimentConfig("alphacoin", "lstm", (), 54, 2)
+    result = grid.run_experiment(cfg, bundle, small_options(k_max=54))
     assert result.metrics is None
     assert result.error
 
@@ -187,10 +189,10 @@ def test_run_experiment_reports_failure_instead_of_raising():
 def test_train_lstm_experiment_norm_modes():
     # seed 8 puts the price peak after the training period, so the two
     # normalization modes fit different ranges
-    bundle = harness.synthetic_bundle(8, days=60, n_coins=1)
-    cfg = harness.ExperimentConfig("alphacoin", "lstm", (), 2, 1)
-    whole, whole_model = harness.train_lstm_experiment(cfg, bundle, small_options())
-    causal, causal_model = harness.train_lstm_experiment(
+    bundle = synthetic.synthetic_bundle(8, days=60, n_coins=1)
+    cfg = grid.ExperimentConfig("alphacoin", "lstm", (), 2, 1)
+    whole, whole_model = grid.train_lstm_experiment(cfg, bundle, small_options())
+    causal, causal_model = grid.train_lstm_experiment(
         cfg, bundle, small_options(whole_series_norm=False)
     )
     assert whole.train_summary["out_of_range"] == 0
@@ -213,27 +215,27 @@ def test_rank_models_matches_hand_average():
         fake_result("a", "lstm", ("r_vol",), 2, 7.0),
         fake_result("b", "lstm", ("r_vol",), 2, 9.0),
     ]
-    rows = harness.rank_models(results)
+    rows = grid.rank_models(results)
     assert [r.label for r in rows] == ["LSTM $+R_Vol", "ARIMA $"]
     npt.assert_allclose(rows[0].rmspe_by_j, [(1, 4.0), (2, 8.0)])
     npt.assert_allclose(rows[0].mean, 6.0)
     npt.assert_allclose(rows[1].mean, 7.0)
 
     with pytest.raises(ValueError, match="inconsistent horizon"):
-        harness.rank_models(results[:5])
+        grid.rank_models(results[:5])
     with pytest.raises(ValueError, match="no successful"):
-        harness.rank_models(
-            [harness.ExperimentResult(results[0].config, None, (), {}, "boom")]
+        grid.rank_models(
+            [grid.ExperimentResult(results[0].config, None, (), {}, "boom")]
         )
 
 
 def test_results_json_round_trip(tmp_path):
-    bundle = harness.synthetic_bundle(2, days=60, n_coins=1)
-    configs = harness.enumerate_grid(["alphacoin"], [], [1], [1], subsets=[()])
-    results = harness.run_grid(configs, bundle, small_options())
+    bundle = synthetic.synthetic_bundle(2, days=60, n_coins=1)
+    configs = grid.enumerate_grid(["alphacoin"], [], [1], [1], subsets=[()])
+    results = grid.run_grid(configs, bundle, small_options())
     path = tmp_path / "results.json"
-    harness.save_results(str(path), results)
-    loaded = harness.load_results(str(path))
+    harness_report.save_results(str(path), results)
+    loaded = harness_report.load_results(str(path))
     assert len(loaded) == len(results)
     for a, b in zip(results, loaded):
         assert a.config == b.config
@@ -244,15 +246,15 @@ def test_results_json_round_trip(tmp_path):
 
 
 def test_emit_report_writes_deterministic_files(tmp_path):
-    bundle = harness.synthetic_bundle(2, days=60, n_coins=1)
-    configs = harness.enumerate_grid(
+    bundle = synthetic.synthetic_bundle(2, days=60, n_coins=1)
+    configs = grid.enumerate_grid(
         ["alphacoin"], ["gh_pop"], [1], [1], subsets=[(), ("gh_pop",)],
     )
-    results = harness.run_grid(configs, bundle, small_options())
+    results = grid.run_grid(configs, bundle, small_options())
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    paths = harness.emit_report(results, str(out_a))
-    harness.emit_report(results, str(out_b))
+    paths = harness_report.emit_report(results, str(out_a))
+    harness_report.emit_report(results, str(out_b))
     names = sorted(p.split("/")[-1] for p in paths)
     assert "ranking.csv" in names and "metrics.csv" in names and "report.txt" in names
     assert any(n.startswith("predictions_") for n in names)
@@ -270,16 +272,16 @@ def test_emit_report_writes_deterministic_files(tmp_path):
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
     with pytest.raises(ValueError, match="nothing to report"):
-        harness.emit_report([], str(tmp_path / "c"))
+        harness_report.emit_report([], str(tmp_path / "c"))
 
 
 def test_failed_result_row_in_metrics_csv(tmp_path):
     good = fake_result("a", "arima", (), 1, 4.0)
-    bad = harness.ExperimentResult(
-        harness.ExperimentConfig("a", "lstm", (), 3, 1), None, (), {}, "exploded"
+    bad = grid.ExperimentResult(
+        grid.ExperimentConfig("a", "lstm", (), 3, 1), None, (), {}, "exploded"
     )
-    harness.save_results(str(tmp_path / "r.json"), [good, bad])
-    loaded = harness.load_results(str(tmp_path / "r.json"))
+    harness_report.save_results(str(tmp_path / "r.json"), [good, bad])
+    loaded = harness_report.load_results(str(tmp_path / "r.json"))
     assert loaded[1].error == "exploded"
     assert loaded[1].metrics is None
     from coinseer.harness.report import write_metrics_csv

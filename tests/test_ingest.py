@@ -53,9 +53,6 @@ def test_price_round_trip_and_sorting(tmp_path):
     assert series.coin == "btc"
     assert series.dates == (date(2021, 1, 1), date(2021, 1, 2), date(2021, 1, 3))
     npt.assert_allclose(series.high, [10.5, 11.9, 12.0])
-    assert series.index_of(date(2021, 1, 2)) == 1
-    with pytest.raises(ValueError):
-        series.index_of(date(2021, 2, 1))
 
     out = tmp_path / "q.csv"
     ingest.save_price_series(str(out), series)

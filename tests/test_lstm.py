@@ -144,7 +144,8 @@ def test_forward_matches_scalar_reference():
     for sizes in ((3,), (3, 4)):
         net = lstm.init_network(2, sizes, seed=int(rng.integers(1000)))
         window = rng.normal(size=(5, 2))
-        got, _ = lstm.forward(net, window)
+        preds, _ = lstm.forward_batch(net, window[None])
+        got = float(preds[0])
         want = reference_forward(net.params, sizes, window)
         npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -155,12 +156,39 @@ def test_forward_batch_matches_single_forward():
     windows = rng.normal(size=(7, 4, 3))
     preds, _ = lstm.forward_batch(net, windows)
     for s in range(7):
-        single, _ = lstm.forward(net, windows[s])
-        npt.assert_allclose(preds[s], single, rtol=1e-12)
+        single, _ = lstm.forward_batch(net, windows[s][None])
+        npt.assert_allclose(preds[s], single[0], rtol=1e-12)
     with pytest.raises(ValueError):
         lstm.forward_batch(net, rng.normal(size=(7, 4, 2)))
     with pytest.raises(ValueError):
         lstm.forward_batch(net, rng.normal(size=(7, 4)))
+
+
+def masked_sigmoid(z):
+    """The earlier two-branch form: each sign's half gathered, mapped and
+    scattered back."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_is_bitwise_equal_to_masked_form():
+    rng = np.random.default_rng(21)
+    draws = [rng.normal(scale=scale, size=(16, 3200)) for scale in (1e-3, 1e-1, 1e1, 1e3)]
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, np.nan, 1e-300, -1e-300])
+    for z in draws + [edges, rng.normal(size=(16, 40))[:, 8:24]]:
+        got = lstm._sigmoid(z)
+        want = masked_sigmoid(np.ascontiguousarray(z))
+        assert got.shape == z.shape
+        # a NaN stays NaN; only its sign bit may differ (-|NaN| is -NaN)
+        nan = np.isnan(z)
+        npt.assert_array_equal(np.isnan(got), nan)
+        npt.assert_array_equal(np.isnan(want), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+    npt.assert_array_equal(lstm._sigmoid(edges[:6]), [0.5, 0.5, 1.0, 0.0, 1.0, 0.0])
 
 
 def test_backward_matches_numeric_gradients():

@@ -49,15 +49,3 @@ def test_evaluate_rejects_bad_input():
         metrics.evaluate([1.0], [0.0])
     with pytest.raises(ValueError, match="non-finite"):
         metrics.evaluate([np.nan], [1.0])
-
-
-def test_mean_rmspe():
-    reports = [
-        metrics.evaluate([104.0, 95.0], [100.0, 100.0]),
-        metrics.evaluate([102.0], [100.0]),
-    ]
-    npt.assert_allclose(
-        metrics.mean_rmspe(reports), (math.sqrt(20.5) + 2.0) / 2
-    )
-    with pytest.raises(ValueError):
-        metrics.mean_rmspe([])

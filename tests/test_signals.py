@@ -1,6 +1,8 @@
 """Daily signal families built from archive records."""
 
+import re
 from datetime import date, datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -60,7 +62,7 @@ def test_github_popularity_counts():
         event(CAL[2], "Watch"),
         event(CAL[2], "Push"),
     ]
-    matrix = signals.github_popularity_signal(events, CAL)
+    matrix = signals.github_popularity_signal(signals.github_all_signal(events, CAL))
     assert matrix.columns == ("gh_watch", "gh_fork")
     npt.assert_array_equal(matrix.values, [[2, 1], [0, 0], [1, 0]])
 
@@ -187,3 +189,75 @@ def test_signal_csv_round_trip(tmp_path):
     assert again.dates == matrix.dates
     assert again.columns == matrix.columns
     npt.assert_array_equal(again.values, matrix.values)
+
+
+def family_inputs():
+    comments = [
+        comment(CAL[0], "moon good moon", score=3),
+        comment(CAL[0], "bad dump", score=-1, hour=15),
+        comment(CAL[2], "good hodl"),
+    ]
+    events = [event(CAL[0], "Watch"), event(CAL[1], "Fork"), event(CAL[1], "Push"),
+              event(CAL[2], "Watch", hour=1)]
+    lexicon = signals.SentimentLexicon({"good": (0.7, 0.6), "bad": (-0.7, 0.67)})
+    return comments, events, lexicon
+
+
+def test_family_table_extracts_what_each_extractor_does():
+    comments, events, lexicon = family_inputs()
+    vocab = signals.build_vocabulary(comments, size=4)
+    assert list(signals.FAMILIES) == ["gh_pop", "gh_all", "r_vol", "r_lang", "r_score", "r_sent"]
+    assert [f.label for f in signals.FAMILIES.values()] == [
+        "GH_Pop", "GH_All", "R_Vol", "R_Lang", "R_Score", "R_Sent"]
+    gh_all = signals.github_all_signal(events, CAL)
+    direct = {
+        "gh_pop": signals.github_popularity_signal(gh_all),
+        "gh_all": gh_all,
+        "r_vol": signals.reddit_volume_signal(comments, CAL),
+        "r_lang": signals.reddit_language_signal(comments, vocab, CAL),
+        "r_score": signals.reddit_score_signal(comments, CAL),
+        "r_sent": signals.reddit_sentiment_signal(comments, lexicon, CAL),
+    }
+    got = signals.extract_families(
+        reversed(signals.FAMILIES), CAL, comments, events, lexicon, vocab
+    )
+    assert list(got) == list(signals.FAMILIES)
+    for name, matrix in got.items():
+        assert matrix.columns == direct[name].columns == signals.FAMILIES[name].columns(vocab)
+        assert matrix.values.tobytes() == direct[name].values.tobytes()
+    npt.assert_array_equal(got["gh_pop"].values, gh_all.values[:, :2])
+    without = signals.extract_families(signals.FAMILIES, CAL, comments, events, lexicon, None)
+    assert list(without) == ["gh_pop", "gh_all", "r_vol", "r_score", "r_sent"]
+    assert signals.extract_families(["r_vol"], CAL, comments, events, lexicon, None).keys() == {"r_vol"}
+
+
+def test_parse_families_and_powerset():
+    assert signals.parse_families(["r_vol", "gh_pop", "r_vol"]) == ("gh_pop", "r_vol")
+    assert signals.parse_families([]) == ()
+    with pytest.raises(ValueError, match="unknown signal families: bogus, nope"):
+        signals.parse_families(["r_vol", "bogus", "nope"])
+    assert signals.family_powerset(["r_sent", "gh_all"]) == [
+        (), ("gh_all",), ("r_sent",), ("gh_all", "r_sent")]
+    assert signals.family_powerset([]) == [()]
+    assert len(signals.family_powerset(signals.FAMILIES)) == 64
+
+
+def test_families_of_columns():
+    columns = ("price_high", "gh_watch", "gh_fork", "r_lang_moon", "r_lang_good", "r_vol")
+    families, vocab = signals.families_of_columns(columns)
+    assert families == ("gh_pop", "r_vol", "r_lang")
+    assert vocab.tokens == ("moon", "good")
+    assert signals.families_of_columns(("price_high", "r_pol_q1")) == (("r_sent",), None)
+    with pytest.raises(ValueError, match="cannot rebuild signal column 'gh_star'"):
+        signals.families_of_columns(("price_high", "gh_star"))
+
+
+def test_readme_family_table_matches_the_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` +\| `(\w+)` +\| (.*?) \|", readme, flags=re.M)
+    assert [(name, label) for name, label, _ in rows] == [
+        (f.name, f.label) for f in signals.FAMILIES.values()]
+    cells = {name: set(re.findall(r"`(\w+)`", columns)) for name, _, columns in rows}
+    assert cells["gh_pop"] == set(signals.FAMILIES["gh_pop"].columns(None))
+    assert cells["r_vol"] == set(signals.FAMILIES["r_vol"].columns(None))
+    assert {f"gh_all_{t}" for t in cells["gh_all"]} == set(signals.FAMILIES["gh_all"].columns(None))

@@ -420,8 +420,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     start = cfg.start or price.dates[0]
     end = cfg.end or price.dates[-1]
     aligned, _ = ingest.align_calendar(price, start, end)
-    comments = ingest.load_reddit_comments(spec.reddit_ndjson, spec.subreddit)
-    events = ingest.load_github_events(spec.github_ndjson, spec.repo)
+    reads = {signals.FAMILIES[f].archive for f in signals.families_of_columns(model.norm.columns)[0]}
+    comments = ingest.load_reddit_comments(spec.reddit_ndjson, spec.subreddit) if "reddit" in reads else []
+    events = ingest.load_github_events(spec.github_ndjson, spec.repo) if "github" in reads else []
     matrix = _matrix_for_columns(
         model.norm.columns, aligned, comments, events, lexicon
     )
@@ -466,9 +467,8 @@ def _matrix_for_columns(
     deriving the signal families (and language vocabulary) from the
     stored column names."""
     families, vocabulary = signals.families_of_columns(columns)
-    extracted = signals.extract_families(
-        families, price.dates, comments, events, lexicon, vocabulary
-    )
+    table = signals.comment_table(comments, price.dates, lexicon)
+    extracted = signals.extract_families(families, table, events, vocabulary)
     matrix = signals.concat_signals([signals.price_high_signal(price), *extracted.values()])
     if matrix.columns != columns:
         raise ValueError(

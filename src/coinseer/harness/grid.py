@@ -147,14 +147,13 @@ def assemble_coin(
     The language family is skipped (with a log line) when the comment
     corpus is empty, since no vocabulary can be built.
     """
+    table = signals.comment_table(comments, price.dates, lexicon)
     try:
-        vocabulary = signals.build_vocabulary(comments, vocab_size)
+        vocabulary = signals.build_vocabulary(table, vocab_size)
     except ValueError:
         log.warning("%s: empty comment corpus, language signal unavailable", price.coin)
         vocabulary = None
-    extracted = signals.extract_families(
-        signals.FAMILIES, price.dates, comments, events, lexicon, vocabulary
-    )
+    extracted = signals.extract_families(signals.FAMILIES, table, events, vocabulary)
     return CoinData(price=price, signals=extracted)
 
 

@@ -12,7 +12,7 @@ import json
 import logging
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -170,14 +170,6 @@ def save_price_series(path: str, series: PriceSeries) -> None:
             )
 
 
-def _check_skip_rate(path: str, skipped: int, total: int) -> None:
-    if total and skipped / total > MAX_SKIP_RATE:
-        raise IngestError(
-            f"{path}: {skipped} of {total} lines unreadable "
-            f"({100.0 * skipped / total:.1f}%, tolerance {100.0 * MAX_SKIP_RATE:.0f}%)"
-        )
-
-
 def _parse_epoch(value: object) -> int:
     """Epoch seconds from an int, float, or decimal string."""
     if isinstance(value, bool):
@@ -193,6 +185,36 @@ def _parse_epoch(value: object) -> int:
     return ts
 
 
+def _read_ndjson(path: str, parse: Callable[[dict], tuple | None]) -> list:
+    """The records ``parse`` makes of an NDJSON file's objects, sorted.
+    ``parse`` gives None to drop an object and raises ValueError, KeyError
+    or TypeError for one it cannot read; its line is skipped and counted."""
+    records = []
+    skipped = total = 0
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            total += 1
+            try:
+                record = parse(json.loads(line))
+            except (ValueError, KeyError, TypeError):
+                skipped += 1
+                continue
+            if record is not None:
+                records.append(record)
+    log.debug("%s: %d lines read, %d records kept, %d lines skipped",
+              path, total, len(records), skipped)
+    if total and skipped / total > MAX_SKIP_RATE:
+        raise IngestError(
+            f"{path}: {skipped} of {total} lines unreadable "
+            f"({100.0 * skipped / total:.1f}%, tolerance {100.0 * MAX_SKIP_RATE:.0f}%)"
+        )
+    records.sort()
+    return records
+
+
 def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:
     """Read an NDJSON comment dump, keeping one subreddit (case-insensitive).
 
@@ -202,33 +224,19 @@ def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:
     lines yields an identical list.
     """
     want = subreddit.lower()
-    records: list[CommentRecord] = []
-    skipped = 0
-    total = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            total += 1
-            try:
-                obj = json.loads(line)
-                created = _parse_epoch(obj["created_utc"])
-                sub = obj["subreddit"]
-                body = obj["body"]
-                score = int(obj["score"])
-                if not isinstance(sub, str) or not isinstance(body, str):
-                    raise ValueError("bad field type")
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-                skipped += 1
-                continue
-            if sub.lower() != want:
-                continue
-            records.append(CommentRecord(created, sub, body, score))
-    _check_skip_rate(path, skipped, total)
+
+    def parse(obj: dict) -> CommentRecord | None:
+        created = _parse_epoch(obj["created_utc"])
+        sub = obj["subreddit"]
+        body = obj["body"]
+        score = int(obj["score"])
+        if not isinstance(sub, str) or not isinstance(body, str):
+            raise ValueError("bad field type")
+        return CommentRecord(created, sub, body, score) if sub.lower() == want else None
+
+    records = _read_ndjson(path, parse)
     if not records:
         log.warning("%s: no comments matched subreddit %r", path, subreddit)
-    records.sort()
     return records
 
 
@@ -255,39 +263,28 @@ def load_github_events(path: str, repo: str) -> list[EventRecord]:
     load_reddit_comments.
     """
     want = repo.lower()
-    records: list[EventRecord] = []
-    skipped = 0
-    total = 0
     unknown = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            total += 1
-            try:
-                obj = json.loads(line)
-                raw_type = obj["type"]
-                created = _parse_iso_instant(obj["created_at"])
-                name = obj["repo"]["name"]
-                if not isinstance(raw_type, str) or not isinstance(name, str):
-                    raise ValueError("bad field type")
-            except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-                skipped += 1
-                continue
-            if name.lower() != want:
-                continue
-            event_type = _EVENT_BY_RAW.get(raw_type)
-            if event_type is None:
-                unknown += 1
-                continue
-            records.append(EventRecord(created, name, event_type))
-    _check_skip_rate(path, skipped, total)
+
+    def parse(obj: dict) -> EventRecord | None:
+        nonlocal unknown
+        raw_type = obj["type"]
+        created = _parse_iso_instant(obj["created_at"])
+        name = obj["repo"]["name"]
+        if not isinstance(raw_type, str) or not isinstance(name, str):
+            raise ValueError("bad field type")
+        if name.lower() != want:
+            return None
+        event_type = _EVENT_BY_RAW.get(raw_type)
+        if event_type is None:
+            unknown += 1
+            return None
+        return EventRecord(created, name, event_type)
+
+    records = _read_ndjson(path, parse)
     if unknown:
         log.info("%s: dropped %d events of unrecognized type", path, unknown)
     if not records:
         log.warning("%s: no events matched repo %r", path, repo)
-    records.sort()
     return records
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import re
+from array import array
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cache
@@ -23,7 +24,6 @@ from .ingest import (
     CommentRecord,
     EventRecord,
     PriceSeries,
-    day_of,
 )
 
 #: Words are maximal runs of lowercase ascii letters and digits.
@@ -112,19 +112,65 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def build_vocabulary(
-    comments: Iterable[CommentRecord], size: int = DEFAULT_VOCAB_SIZE
-) -> Vocabulary:
-    """Top ``size`` tokens by frequency, ties broken lexicographically."""
+@dataclass(frozen=True)
+class CommentTable:
+    """One row per comment, decided once: its calendar row (-1 outside the
+    calendar), score, polarity and subjectivity (scored inside the
+    calendar only, 0 outside), and its tokens as ids into ``tokens``, the
+    corpus's distinct tokens, in CSR form: comment c holds
+    ``token_ids[offsets[c]:offsets[c + 1]]``."""
+
+    calendar: tuple[date, ...]
+    day: np.ndarray
+    score: np.ndarray
+    polarity: np.ndarray
+    subjectivity: np.ndarray
+    offsets: np.ndarray
+    token_ids: np.ndarray
+    tokens: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+
+def _day_rows(created_utc: Sequence[int], calendar: Sequence[date]) -> np.ndarray:
+    """The calendar row of each epoch timestamp: its UTC day minus the
+    calendar's first day, -1 outside the calendar."""
+    rows = np.array(created_utc, dtype=np.int64) // 86400 - (calendar[0] - date(1970, 1, 1)).days
+    return np.where((rows >= 0) & (rows < len(calendar)), rows, -1)
+
+
+def comment_table(
+    comments: Sequence[CommentRecord], calendar: Sequence[date], lexicon: SentimentLexicon
+) -> CommentTable:
+    """Tokenize each comment and place it on ``calendar``, in one pass."""
+    calendar, entries = tuple(calendar), lexicon.entries
+    day = _day_rows([rec.created_utc for rec in comments], calendar)
+    ids: dict[str, int] = {}
+    token_ids, offsets = array("q"), [0]
+    sentiment = np.zeros((len(day), 2))  # scored on the calendar only
+    for c, (rec, row) in enumerate(zip(comments, day.tolist())):
+        tokens = tokenize(rec.body)
+        token_ids.extend([ids.setdefault(t, len(ids)) for t in tokens])
+        offsets.append(len(token_ids))
+        hits = [entries[t] for t in tokens if t in entries] if row >= 0 else ()
+        if hits:
+            # np.mean's own arithmetic, numpy's sum then one division, minus its call overhead
+            sentiment[c] = [float(np.add.reduce(v)) / len(v) for v in zip(*hits)]
+    score = np.array([rec.score for rec in comments], dtype=np.float64)
+    return CommentTable(calendar, day, score, sentiment[:, 0], sentiment[:, 1],
+                        np.array(offsets), np.frombuffer(token_ids, dtype=np.int64), tuple(ids))
+
+
+def build_vocabulary(comments: CommentTable, size: int = DEFAULT_VOCAB_SIZE) -> Vocabulary:
+    """Top ``size`` tokens by frequency over every comment of the table,
+    on the calendar or not, ties broken lexicographically."""
     if size < 1:
         raise ValueError(f"vocabulary size must be positive, got {size}")
-    counts: dict[str, int] = {}
-    for rec in comments:
-        for token in tokenize(rec.body):
-            counts[token] = counts.get(token, 0) + 1
-    if not counts:
+    if not comments.tokens:
         raise ValueError("empty corpus, no tokens to build a vocabulary from")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    counts = np.bincount(comments.token_ids, minlength=len(comments.tokens)).tolist()
+    ranked = sorted(zip(comments.tokens, counts), key=lambda kv: (-kv[1], kv[0]))
     return Vocabulary(tokens=tuple(t for t, _ in ranked[:size]))
 
 
@@ -165,55 +211,20 @@ def quartiles(values: Sequence[float] | np.ndarray) -> tuple[float, float, float
     return (float(q1), float(q2), float(q3))
 
 
-def score_sentiment(
-    text: str, lexicon: SentimentLexicon
-) -> tuple[float, float]:
-    """Mean (polarity, subjectivity) over lexicon tokens in ``text``.
-
-    Tokens missing from the lexicon are ignored; a text with no lexicon
-    tokens scores (0.0, 0.0).
-    """
-    pols = []
-    subjs = []
-    for token in tokenize(text):
-        entry = lexicon.entries.get(token)
-        if entry is not None:
-            pols.append(entry[0])
-            subjs.append(entry[1])
-    if not pols:
-        return (0.0, 0.0)
-    return (float(np.mean(pols)), float(np.mean(subjs)))
-
-
-def _bucket_comments(
-    comments: Iterable[CommentRecord], calendar: Sequence[date]
-) -> list[list[CommentRecord]]:
-    index = {d: i for i, d in enumerate(calendar)}
-    buckets: list[list[CommentRecord]] = [[] for _ in calendar]
-    for rec in comments:
-        i = index.get(day_of(rec.created_utc))
-        if i is not None:
-            buckets[i].append(rec)
-    return buckets
-
-
 def _matrix(
     calendar: Sequence[date], columns: Sequence[str], values: np.ndarray
 ) -> SignalMatrix:
     return SignalMatrix(tuple(calendar), tuple(columns), values)
 
 
-def github_all_signal(
-    events: Iterable[EventRecord], calendar: Sequence[date]
-) -> SignalMatrix:
+def github_all_signal(events: Sequence[EventRecord], calendar: Sequence[date]) -> SignalMatrix:
     """Daily counts for all eight event types: columns gh_all_<type>."""
-    index = {d: i for i, d in enumerate(calendar)}
     col = {name: j for j, name in enumerate(EVENT_TYPES)}
+    rows = _day_rows([rec.created_utc for rec in events], calendar)
+    cols = np.array([col[rec.event_type] for rec in events], dtype=np.int64)
+    inside = rows >= 0
     values = np.zeros((len(calendar), len(EVENT_TYPES)), dtype=np.float64)
-    for rec in events:
-        i = index.get(day_of(rec.created_utc))
-        if i is not None:
-            values[i, col[rec.event_type]] += 1.0
+    np.add.at(values, (rows[inside], cols[inside]), 1.0)
     return _matrix(calendar, _GH_ALL_COLUMNS, values)
 
 
@@ -224,20 +235,14 @@ def github_popularity_signal(gh_all: SignalMatrix) -> SignalMatrix:
     return _matrix(gh_all.dates, _GH_POP_COLUMNS, values)
 
 
-def reddit_volume_signal(
-    comments: Iterable[CommentRecord], calendar: Sequence[date]
-) -> SignalMatrix:
+def reddit_volume_signal(comments: CommentTable) -> SignalMatrix:
     """Daily comment count: column r_vol."""
-    buckets = _bucket_comments(comments, calendar)
-    values = np.array([[float(len(b))] for b in buckets], dtype=np.float64)
-    return _matrix(calendar, _R_VOL_COLUMNS, values)
+    inside = comments.day[comments.day >= 0]
+    values = np.bincount(inside, minlength=len(comments.calendar)).astype(np.float64)
+    return _matrix(comments.calendar, _R_VOL_COLUMNS, values.reshape(-1, 1))
 
 
-def reddit_language_signal(
-    comments: Iterable[CommentRecord],
-    vocabulary: Vocabulary,
-    calendar: Sequence[date],
-) -> SignalMatrix:
+def reddit_language_signal(comments: CommentTable, vocabulary: Vocabulary) -> SignalMatrix:
     """Daily relative frequency of each vocabulary token.
 
     Each row is the day's vocabulary-token counts divided by the day's
@@ -245,54 +250,53 @@ def reddit_language_signal(
     any in-vocabulary token are all zero. Columns are r_lang_<token> in
     vocabulary order.
     """
-    values = np.zeros((len(calendar), len(vocabulary)), dtype=np.float64)
-    for i, bucket in enumerate(_bucket_comments(comments, calendar)):
-        for rec in bucket:
-            for token in tokenize(rec.body):
-                j = vocabulary.index.get(token)
-                if j is not None:
-                    values[i, j] += 1.0
-        total = values[i].sum()
-        if total > 0:
-            values[i] /= total
-    return _matrix(calendar, _language_columns(vocabulary), values)
+    column = np.array([vocabulary.index.get(t, -1) for t in comments.tokens], dtype=np.int64)
+    cols = column[comments.token_ids]
+    rows = np.repeat(comments.day, np.diff(comments.offsets))
+    keep = (rows >= 0) & (cols >= 0)
+    values = np.zeros((len(comments.calendar), len(vocabulary)), dtype=np.float64)
+    # counts are whole numbers, so every order of summing them is exact
+    np.add.at(values, (rows[keep], cols[keep]), 1.0)
+    totals = values.sum(axis=1, keepdims=True)
+    np.divide(values, totals, out=values, where=totals > 0)
+    return _matrix(comments.calendar, _language_columns(vocabulary), values)
 
 
-def reddit_score_signal(
-    comments: Iterable[CommentRecord], calendar: Sequence[date]
-) -> SignalMatrix:
+def _day_quartiles(comments: CommentTable, values: np.ndarray) -> np.ndarray:
+    """Each calendar day's quartiles of ``values``, one value per comment."""
+    inside = comments.day >= 0
+    rows = comments.day[inside]
+    counts = np.bincount(rows, minlength=len(comments.calendar))
+    days = np.split(values[inside][np.argsort(rows, kind="stable")], np.cumsum(counts)[:-1])
+    return np.array([quartiles(d) for d in days], dtype=np.float64)
+
+
+def reddit_score_signal(comments: CommentTable) -> SignalMatrix:
     """Daily quartiles of comment scores: columns r_score_q1..q3."""
-    values = np.zeros((len(calendar), 3), dtype=np.float64)
-    for i, bucket in enumerate(_bucket_comments(comments, calendar)):
-        values[i] = quartiles([rec.score for rec in bucket])
-    return _matrix(calendar, _R_SCORE_COLUMNS, values)
+    return _matrix(comments.calendar, _R_SCORE_COLUMNS, _day_quartiles(comments, comments.score))
 
 
-def reddit_sentiment_signal(
-    comments: Iterable[CommentRecord],
-    lexicon: SentimentLexicon,
-    calendar: Sequence[date],
-) -> SignalMatrix:
-    """Daily quartiles of per-comment polarity and subjectivity.
+def reddit_sentiment_signal(comments: CommentTable) -> SignalMatrix:
+    """Daily quartiles of per-comment polarity and subjectivity: the mean
+    lexicon value over a comment's lexicon tokens, 0 with none.
 
     Columns r_pol_q1..q3, r_subj_q1..q3.
     """
-    values = np.zeros((len(calendar), 6), dtype=np.float64)
-    for i, bucket in enumerate(_bucket_comments(comments, calendar)):
-        scored = [score_sentiment(rec.body, lexicon) for rec in bucket]
-        values[i, :3] = quartiles([s[0] for s in scored])
-        values[i, 3:] = quartiles([s[1] for s in scored])
-    return _matrix(calendar, _R_SENT_COLUMNS, values)
+    values = np.hstack([_day_quartiles(comments, comments.polarity),
+                        _day_quartiles(comments, comments.subjectivity)])
+    return _matrix(comments.calendar, _R_SENT_COLUMNS, values)
 
 
 @dataclass(frozen=True)
 class Family:
-    """A signal family: name, display label, column names given the
-    language vocabulary, and extractor. The extractor reads the sources
-    that extract_families gathers and gives None when it cannot extract."""
+    """A signal family: name, display label, the archive it reads
+    ("reddit" or "github"), column names given the language vocabulary,
+    and extractor. The extractor reads the sources that extract_families
+    gathers and gives None when it cannot extract."""
 
     name: str
     label: str
+    archive: str
     columns: Callable[[Vocabulary | None], tuple[str, ...]]
     extract: Callable[[SimpleNamespace], SignalMatrix | None]
 
@@ -305,18 +309,18 @@ def _language_columns(vocabulary: Vocabulary | None) -> tuple[str, ...]:
 FAMILIES: Mapping[str, Family] = {
     f.name: f
     for f in (
-        Family("gh_pop", "GH_Pop", lambda v: _GH_POP_COLUMNS,
+        Family("gh_pop", "GH_Pop", "github", lambda v: _GH_POP_COLUMNS,
                lambda s: github_popularity_signal(s.gh_all())),
-        Family("gh_all", "GH_All", lambda v: _GH_ALL_COLUMNS, lambda s: s.gh_all()),
-        Family("r_vol", "R_Vol", lambda v: _R_VOL_COLUMNS,
-               lambda s: reddit_volume_signal(s.comments, s.calendar)),
-        Family("r_lang", "R_Lang", _language_columns,
+        Family("gh_all", "GH_All", "github", lambda v: _GH_ALL_COLUMNS, lambda s: s.gh_all()),
+        Family("r_vol", "R_Vol", "reddit", lambda v: _R_VOL_COLUMNS,
+               lambda s: reddit_volume_signal(s.comments)),
+        Family("r_lang", "R_Lang", "reddit", _language_columns,
                lambda s: None if s.vocabulary is None
-               else reddit_language_signal(s.comments, s.vocabulary, s.calendar)),
-        Family("r_score", "R_Score", lambda v: _R_SCORE_COLUMNS,
-               lambda s: reddit_score_signal(s.comments, s.calendar)),
-        Family("r_sent", "R_Sent", lambda v: _R_SENT_COLUMNS,
-               lambda s: reddit_sentiment_signal(s.comments, s.lexicon, s.calendar)),
+               else reddit_language_signal(s.comments, s.vocabulary)),
+        Family("r_score", "R_Score", "reddit", lambda v: _R_SCORE_COLUMNS,
+               lambda s: reddit_score_signal(s.comments)),
+        Family("r_sent", "R_Sent", "reddit", lambda v: _R_SENT_COLUMNS,
+               lambda s: reddit_sentiment_signal(s.comments)),
     )
 }
 
@@ -342,19 +346,16 @@ def family_powerset(names: Iterable[str]) -> list[tuple[str, ...]]:
 
 def extract_families(
     names: Iterable[str],
-    calendar: Sequence[date],
-    comments: Sequence[CommentRecord],
+    comments: CommentTable,
     events: Sequence[EventRecord],
-    lexicon: SentimentLexicon,
     vocabulary: Vocabulary | None,
 ) -> dict[str, SignalMatrix]:
-    """The named families on ``calendar``, in canonical order. r_lang is
-    left out when there is no vocabulary."""
-    calendar = tuple(calendar)
+    """The named families on the comment table's calendar, in canonical
+    order. r_lang is left out when there is no vocabulary."""
     sources = SimpleNamespace(
-        calendar=calendar, comments=comments, lexicon=lexicon, vocabulary=vocabulary,
+        comments=comments, vocabulary=vocabulary,
         # gh_pop is a slice of gh_all, so both read the events once
-        gh_all=cache(lambda: github_all_signal(events, calendar)),
+        gh_all=cache(lambda: github_all_signal(events, comments.calendar)),
     )
     extracted = {f: FAMILIES[f].extract(sources) for f in parse_families(names)}
     return {f: m for f, m in extracted.items() if m is not None}

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from coinseer import cli, signals
+from coinseer import cli, ingest, signals
 from coinseer.harness import grid
 from coinseer.signals import read_signal_csv
 
@@ -212,6 +212,31 @@ def test_forecast_without_comments_gives_zero_language_rows(tmp_path, capsys, mo
     assert not rebuilt.values[:, lang].any()
 
 
+def test_forecast_reads_only_the_archives_its_families_read(tmp_path, capsys, monkeypatch):
+    src = synth_dir(tmp_path, days=40)
+    models = {}
+    for signal_set in ("price", "r_vol"):
+        assert train_and_forecast(tmp_path, src / "config.json", signal_set) == 0
+        (models[signal_set],) = (tmp_path / f"trained_{signal_set}").glob("model_*.bin")
+    capsys.readouterr()
+
+    def forecast(signal_set):
+        assert run(["forecast", "--model", str(models[signal_set]),
+                    "--config", str(src / "config.json")]) == 0
+        return capsys.readouterr().out
+
+    before = {signal_set: forecast(signal_set) for signal_set in models}
+
+    def unread(path, *args):
+        raise AssertionError(f"forecast read {path}")
+
+    monkeypatch.setattr(ingest, "load_github_events", unread)
+    assert forecast("r_vol") == before["r_vol"]
+    monkeypatch.setattr(ingest, "load_reddit_comments", unread)
+    assert forecast("price") == before["price"]
+    assert json.loads(before["price"])["coin"] == "alphacoin"
+
+
 def test_verbose_logs_training_to_stderr_only(tmp_path):
     out = tmp_path / "trained"
     env = dict(os.environ)
@@ -234,6 +259,11 @@ def test_verbose_logs_training_to_stderr_only(tmp_path):
 
 def test_verbose_correlate_logs_timings_to_stderr_only(tmp_path):
     src = synth_dir(tmp_path)
+    reddit = src / "reddit_alphacoin.ndjson"
+    comments = len(reddit.read_text().splitlines())
+    with reddit.open("a") as fh:
+        fh.write("{broken\n")
+    events = len((src / "github_alphacoin.ndjson").read_text().splitlines())
     out = tmp_path / "corr"
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(cli.__file__))
@@ -254,10 +284,14 @@ def test_verbose_correlate_logs_timings_to_stderr_only(tmp_path):
     assert loud_out == quiet_out and loud_files == quiet_files
     assert quiet_err == ""
     lines = loud_err.splitlines()
-    assert len(lines) == 2 and all(line.startswith("DEBUG ") for line in lines)
-    assert ": bundle built in " in lines[0]
-    assert re.search(r": alphacoin: \d+ columns x 40 days; correlation table ", lines[1])
-    assert ", CSV " in lines[1]
+    assert len(lines) == 4 and all(line.startswith("DEBUG ") for line in lines)
+    assert lines[0] == (f"DEBUG coinseer.ingest: {reddit}: {comments + 1} lines read, "
+                        f"{comments} records kept, 1 lines skipped")
+    assert lines[1] == (f"DEBUG coinseer.ingest: {src / 'github_alphacoin.ndjson'}: "
+                        f"{events} lines read, {events} records kept, 0 lines skipped")
+    assert ": bundle built in " in lines[2]
+    assert re.search(r": alphacoin: \d+ columns x 40 days; correlation table ", lines[3])
+    assert ", CSV " in lines[3]
 
 
 def test_forecast_rejects_junk_model(tmp_path, capsys):

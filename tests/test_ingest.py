@@ -6,6 +6,8 @@ from datetime import date, datetime, timezone
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coinseer import ingest
 
@@ -224,3 +226,42 @@ def test_write_ndjson_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == '{"a":1,"b":2}'
     assert [json.loads(line) for line in lines] == objects
+
+
+def load(github, path):
+    if github:
+        return ingest.load_github_events(str(path), "bitcoin/bitcoin")
+    return ingest.load_reddit_comments(str(path), "cryptocurrency")
+
+
+BAD_LINES = (
+    "{broken",
+    "[1, 2]",
+    json.dumps({"created_utc": -5, "subreddit": "CryptoCurrency", "body": "x", "score": 1,
+                "type": "WatchEvent", "created_at": "junk", "repo": {"name": "a/b"}}),
+    json.dumps({"body": "x", "repo": "a/b"}),
+)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    per_hundred=st.integers(1, 4),
+    github=st.booleans(),
+    bad=st.lists(st.sampled_from(BAD_LINES), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_skip_rate_boundary(tmp_path, per_hundred, github, bad, seed):
+    """Exactly 1% unreadable lines load; one more bad line is rejected."""
+    make = event_line if github else comment_line
+    good = [make(date(2021, 1, 1), hour=h % 24) for h in range(99 * per_hundred)]
+    rng = np.random.default_rng(seed)
+    for extra, name in ((0, "ok.ndjson"), (1, "bad.ndjson")):
+        lines = good + bad[: per_hundred + extra]
+        src = tmp_path / name
+        write_lines(src, [lines[i] for i in rng.permutation(len(lines))])
+        if extra:
+            with pytest.raises(ingest.IngestError, match="unreadable"):
+                load(github, src)
+        else:
+            assert len(load(github, src)) == len(good)

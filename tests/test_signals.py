@@ -1,15 +1,19 @@
 """Daily signal families built from archive records."""
 
 import re
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from coinseer import signals
-from coinseer.ingest import CommentRecord, EventRecord, daily_calendar
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coinseer import ingest, signals
+from coinseer.harness import grid
+from coinseer.ingest import CommentRecord, EventRecord, PriceSeries, daily_calendar
 
 
 def epoch(day, hour=12):
@@ -25,6 +29,11 @@ def event(day, kind, hour=12):
 
 
 CAL = daily_calendar(date(2021, 1, 1), date(2021, 1, 3))
+NO_LEXICON = signals.SentimentLexicon({})
+
+
+def table(comments, lexicon=NO_LEXICON, calendar=CAL):
+    return signals.comment_table(comments, calendar, lexicon)
 
 
 def test_tokenize():
@@ -38,14 +47,21 @@ def test_build_vocabulary_ranks_by_count_then_token():
         comment(CAL[0], "b b b a a c"),
         comment(CAL[1], "a d d"),
     ]
-    vocab = signals.build_vocabulary(comments, size=3)
+    vocab = signals.build_vocabulary(table(comments), size=3)
     assert vocab.tokens == ("a", "b", "d")
     assert vocab.index == {"a": 0, "b": 1, "d": 2}
-    assert len(signals.build_vocabulary(comments, size=100)) == 4
+    assert len(signals.build_vocabulary(table(comments), size=100)) == 4
     with pytest.raises(ValueError):
-        signals.build_vocabulary(comments, size=0)
+        signals.build_vocabulary(table(comments), size=0)
     with pytest.raises(ValueError, match="empty corpus"):
-        signals.build_vocabulary([comment(CAL[0], "++")], size=3)
+        signals.build_vocabulary(table([comment(CAL[0], "++")]), size=3)
+    with pytest.raises(ValueError, match="empty corpus"):
+        signals.build_vocabulary(table([]), size=3)
+
+
+def test_build_vocabulary_counts_comments_outside_the_calendar():
+    comments = [comment(CAL[0], "a b"), comment(date(2020, 12, 31), "c c c")]
+    assert signals.build_vocabulary(table(comments)).tokens == ("c", "a", "b")
 
 
 def test_quartiles_examples():
@@ -84,7 +100,7 @@ def test_github_all_counts_every_type():
 
 def test_reddit_volume():
     comments = [comment(CAL[0], "a"), comment(CAL[0], "b", hour=13), comment(CAL[2], "c")]
-    matrix = signals.reddit_volume_signal(comments, CAL)
+    matrix = signals.reddit_volume_signal(table(comments))
     assert matrix.columns == ("r_vol",)
     npt.assert_array_equal(matrix.values, [[2], [0], [1]])
 
@@ -95,7 +111,7 @@ def test_reddit_language_rows_normalize():
         comment(CAL[0], "moon moon dip stranger"),
         comment(CAL[2], "unseen words only"),
     ]
-    matrix = signals.reddit_language_signal(comments, vocab, CAL)
+    matrix = signals.reddit_language_signal(table(comments), vocab)
     assert matrix.columns == ("r_lang_moon", "r_lang_dip", "r_lang_hold")
     npt.assert_allclose(matrix.values[0], [2 / 3, 1 / 3, 0.0])
     npt.assert_array_equal(matrix.values[1], [0, 0, 0])
@@ -106,7 +122,7 @@ def test_reddit_language_rows_normalize():
 
 def test_reddit_score_quartiles():
     comments = [comment(CAL[0], "w", score=s, hour=h) for h, s in enumerate([1, 2, 3, 4])]
-    matrix = signals.reddit_score_signal(comments, CAL)
+    matrix = signals.reddit_score_signal(table(comments))
     npt.assert_allclose(matrix.values[0], [1.75, 2.5, 3.25])
     npt.assert_array_equal(matrix.values[1], [0, 0, 0])
 
@@ -115,14 +131,16 @@ def test_reddit_sentiment_uses_lexicon():
     lexicon = signals.SentimentLexicon(
         entries={"good": (0.8, 0.6), "bad": (-0.7, 0.7)}
     )
-    assert signals.score_sentiment("Good, GOOD bad", lexicon) == (
+    scored = table([comment(CAL[0], "Good, GOOD bad"), comment(CAL[0], "nothing known")],
+                   lexicon)
+    assert (scored.polarity[0], scored.subjectivity[0]) == (
         pytest.approx((0.8 + 0.8 - 0.7) / 3),
         pytest.approx((0.6 + 0.6 + 0.7) / 3),
     )
-    assert signals.score_sentiment("nothing known", lexicon) == (0.0, 0.0)
+    assert (scored.polarity[1], scored.subjectivity[1]) == (0.0, 0.0)
 
     comments = [comment(CAL[0], "good"), comment(CAL[0], "bad", hour=13)]
-    matrix = signals.reddit_sentiment_signal(comments, lexicon, CAL)
+    matrix = signals.reddit_sentiment_signal(table(comments, lexicon))
     assert matrix.columns[:3] == ("r_pol_q1", "r_pol_q2", "r_pol_q3")
     npt.assert_allclose(matrix.values[0, 1], 0.05)
     npt.assert_allclose(matrix.values[0, 4], 0.65)
@@ -205,6 +223,7 @@ def family_inputs():
 
 def test_family_table_extracts_what_each_extractor_does():
     comments, events, lexicon = family_inputs()
+    comments = table(comments, lexicon)
     vocab = signals.build_vocabulary(comments, size=4)
     assert list(signals.FAMILIES) == ["gh_pop", "gh_all", "r_vol", "r_lang", "r_score", "r_sent"]
     assert [f.label for f in signals.FAMILIES.values()] == [
@@ -213,22 +232,21 @@ def test_family_table_extracts_what_each_extractor_does():
     direct = {
         "gh_pop": signals.github_popularity_signal(gh_all),
         "gh_all": gh_all,
-        "r_vol": signals.reddit_volume_signal(comments, CAL),
-        "r_lang": signals.reddit_language_signal(comments, vocab, CAL),
-        "r_score": signals.reddit_score_signal(comments, CAL),
-        "r_sent": signals.reddit_sentiment_signal(comments, lexicon, CAL),
+        "r_vol": signals.reddit_volume_signal(comments),
+        "r_lang": signals.reddit_language_signal(comments, vocab),
+        "r_score": signals.reddit_score_signal(comments),
+        "r_sent": signals.reddit_sentiment_signal(comments),
     }
-    got = signals.extract_families(
-        reversed(signals.FAMILIES), CAL, comments, events, lexicon, vocab
-    )
+    got = signals.extract_families(reversed(signals.FAMILIES), comments, events, vocab)
     assert list(got) == list(signals.FAMILIES)
     for name, matrix in got.items():
         assert matrix.columns == direct[name].columns == signals.FAMILIES[name].columns(vocab)
         assert matrix.values.tobytes() == direct[name].values.tobytes()
     npt.assert_array_equal(got["gh_pop"].values, gh_all.values[:, :2])
-    without = signals.extract_families(signals.FAMILIES, CAL, comments, events, lexicon, None)
+    without = signals.extract_families(signals.FAMILIES, comments, events, None)
     assert list(without) == ["gh_pop", "gh_all", "r_vol", "r_score", "r_sent"]
-    assert signals.extract_families(["r_vol"], CAL, comments, events, lexicon, None).keys() == {"r_vol"}
+    assert signals.extract_families(["r_vol"], comments, events, None).keys() == {"r_vol"}
+    assert [f.archive for f in signals.FAMILIES.values()] == ["github"] * 2 + ["reddit"] * 4
 
 
 def test_parse_families_and_powerset():
@@ -261,3 +279,147 @@ def test_readme_family_table_matches_the_code():
     assert cells["gh_pop"] == set(signals.FAMILIES["gh_pop"].columns(None))
     assert cells["r_vol"] == set(signals.FAMILIES["r_vol"].columns(None))
     assert {f"gh_all_{t}" for t in cells["gh_all"]} == set(signals.FAMILIES["gh_all"].columns(None))
+
+
+# The per-family loops that the comment table replaced, kept as its oracle:
+# each family buckets the records by ingest.day_of, tokenizes each body
+# again, and scores a comment's sentiment with np.mean over its lexicon
+# values in token order.
+
+
+def oracle_buckets(comments, calendar):
+    index = {d: i for i, d in enumerate(calendar)}
+    buckets = [[] for _ in calendar]
+    for rec in comments:
+        i = index.get(ingest.day_of(rec.created_utc))
+        if i is not None:
+            buckets[i].append(rec)
+    return buckets
+
+
+def oracle_vocabulary(comments, size):
+    counts = {}
+    for rec in comments:
+        for token in signals.tokenize(rec.body):
+            counts[token] = counts.get(token, 0) + 1
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    return tuple(t for t, _ in ranked[:size])
+
+
+def oracle_sentiment(text, lexicon):
+    hits = [lexicon.entries[t] for t in signals.tokenize(text) if t in lexicon.entries]
+    if not hits:
+        return (0.0, 0.0)
+    return (float(np.mean([h[0] for h in hits])), float(np.mean([h[1] for h in hits])))
+
+
+def oracle_families(comments, calendar, lexicon, vocabulary):
+    buckets = oracle_buckets(comments, calendar)
+    n = len(calendar)
+    lang = np.zeros((n, len(vocabulary)))
+    score, sent = np.zeros((n, 3)), np.zeros((n, 6))
+    for i, bucket in enumerate(buckets):
+        for rec in bucket:
+            for token in signals.tokenize(rec.body):
+                j = vocabulary.index.get(token)
+                if j is not None:
+                    lang[i, j] += 1.0
+        total = lang[i].sum()
+        if total > 0:
+            lang[i] /= total
+        score[i] = signals.quartiles([rec.score for rec in bucket])
+        scored = [oracle_sentiment(rec.body, lexicon) for rec in bucket]
+        sent[i, :3] = signals.quartiles([s[0] for s in scored])
+        sent[i, 3:] = signals.quartiles([s[1] for s in scored])
+    volume = np.array([[float(len(b))] for b in buckets])
+    return {"r_vol": volume, "r_lang": lang, "r_score": score, "r_sent": sent}
+
+
+def oracle_corpus(seed=4, days=30):
+    """Comments before, on and after a ``days``-day calendar: empty
+    bodies, long ones, and ones with more than 8 lexicon tokens."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(60)]
+    lexicon = signals.SentimentLexicon({
+        w: (float(rng.uniform(-1, 1)), float(rng.uniform(0, 1))) for w in words[::3]
+    })
+    calendar = daily_calendar(date(2021, 3, 1), date(2021, 3, days))
+    start = epoch(calendar[0], hour=0)
+    comments = []
+    for _ in range(1500):
+        length = int(rng.choice([0, 1, 3, 12, 40]))
+        body = " ".join(rng.choice(words, size=length)) + rng.choice(["", "!", " ++"])
+        created = start + int(rng.integers(-5 * 86400, (days + 5) * 86400))
+        comments.append(CommentRecord(created, "s", body, int(rng.integers(-20, 200))))
+    return comments, calendar, lexicon
+
+
+def test_comment_table_families_equal_the_per_family_loops_bitwise():
+    comments, calendar, lexicon = oracle_corpus()
+    counts = [sum(t in lexicon.entries for t in signals.tokenize(c.body)) for c in comments]
+    assert max(counts) > 8 and min(counts) == 0
+    assert any(not c.body.strip() for c in comments)
+    outside = [ingest.day_of(c.created_utc) not in calendar for c in comments]
+    assert 0 < sum(outside) < len(comments)
+    # on these inputs a sum in another order (np.cumsum's, left to right)
+    # than np.mean's gives other bits
+    pols = [[lexicon.entries[t][0] for t in signals.tokenize(c.body) if t in lexicon.entries]
+            for c in comments]
+    assert any(np.cumsum(p)[-1] / len(p) != np.mean(p) for p in pols if p)
+
+    comments_table = signals.comment_table(comments, calendar, lexicon)
+    assert len(comments_table) == len(comments)
+    for size in (1, 7, 10000):
+        vocab = signals.build_vocabulary(comments_table, size)
+        assert vocab.tokens == oracle_vocabulary(comments, size)
+    forecast_vocab = signals.Vocabulary(("w7", "absent", "w0", "w59", "neverseen"))
+    for vocab in (signals.build_vocabulary(comments_table, 25), forecast_vocab):
+        want = oracle_families(comments, calendar, lexicon, vocab)
+        got = signals.extract_families(want, comments_table, [], vocab)
+        for name, values in want.items():
+            assert got[name].values.tobytes() == values.tobytes(), name
+    assert not got["r_lang"].column("r_lang_absent").any()
+
+
+def test_comment_table_rows_and_scores():
+    lexicon = signals.SentimentLexicon({"good": (0.5, 0.25)})
+    comments = [comment(CAL[1], "good x GOOD", score=4), comment(date(2021, 1, 4), "good"),
+                comment(CAL[0], "", score=-2)]
+    got = table(comments, lexicon)
+    assert got.calendar == CAL
+    npt.assert_array_equal(got.day, [1, -1, 0])
+    npt.assert_array_equal(got.score, [4, 1, -2])
+    # sentiment is scored only for comments on the calendar
+    npt.assert_array_equal(got.polarity, [0.5, 0.0, 0.0])
+    npt.assert_array_equal(got.subjectivity, [0.25, 0.0, 0.0])
+    npt.assert_array_equal(got.offsets, [0, 3, 4, 4])
+    assert [got.tokens[i] for i in got.token_ids] == ["good", "x", "good", "good"]
+
+
+def test_assemble_coin_tokenizes_each_comment_once(monkeypatch):
+    comments, calendar, lexicon = oracle_corpus(days=10)
+    high = np.linspace(10.0, 20.0, len(calendar))
+    price = PriceSeries("c", calendar, high - 1.0, high, high - 2.0, high - 1.0)
+    calls = []
+    tokenize = signals.tokenize
+    monkeypatch.setattr(signals, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    coin = grid.assemble_coin(price, comments, [], lexicon, vocab_size=20)
+    assert sorted(calls) == sorted(c.body for c in comments)
+    assert list(coin.signals) == list(signals.FAMILIES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.dates(date(1970, 1, 2), date(2100, 1, 1)),
+    days=st.integers(1, 40),
+    offset=st.integers(-3, 43),
+    second=st.sampled_from([-1, 0, 1]),
+)
+def test_day_row_at_utc_midnight(start, days, offset, second):
+    calendar = daily_calendar(start, start + timedelta(days=days - 1))
+    day = start + timedelta(days=offset)
+    ts = int(datetime(day.year, day.month, day.day, tzinfo=timezone.utc).timestamp()) + second
+    want = calendar.index(ingest.day_of(ts)) if ingest.day_of(ts) in calendar else -1
+    assert table([CommentRecord(ts, "s", "x", 1)], calendar=calendar).day.tolist() == [want]
+    counts = signals.github_all_signal([EventRecord(ts, "a/b", "Push")], calendar)
+    assert counts.column("gh_all_push").tolist() == [float(i == want) for i in range(days)]

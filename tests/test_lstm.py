@@ -1,6 +1,7 @@
 """Stacked LSTM forward/backward, optimizer, training loop, serialization."""
 
 import hashlib
+import io
 import json
 import logging
 import math
@@ -12,6 +13,7 @@ import pytest
 
 from coinseer import lstm
 from coinseer.dataset import NormParams, WindowedDataset
+from oracles import loss_and_grads
 
 
 def toy_dataset(inputs, targets, k, feature_names=None, j=1):
@@ -69,9 +71,9 @@ def numeric_grads(net, windows, targets, eps=1e-6):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up, _ = lstm.loss_and_grads(net, windows, targets)
+            up, _ = loss_and_grads(net, windows, targets)
             flat[i] = orig - eps
-            down, _ = lstm.loss_and_grads(net, windows, targets)
+            down, _ = loss_and_grads(net, windows, targets)
             flat[i] = orig
             gflat[i] = (up - down) / (2 * eps)
         grads[key] = g
@@ -103,13 +105,11 @@ def test_param_shapes_and_init():
 
 
 def test_network_validates_params():
-    net = lstm.init_network(2, (3,), seed=0)
-    bad = dict(net.params)
-    del bad["wd"]
-    with pytest.raises(ValueError, match="wd"):
-        lstm.Network(input_dim=2, sizes=(3,), params=bad)
-    with pytest.raises(ValueError):
-        lstm.Network(input_dim=0, sizes=(3,), params=net.params)
+    with pytest.raises(ValueError, match="input_dim"):
+        lstm.Network(input_dim=0, sizes=(3,))
+    for sizes in ((), (3, 0)):
+        with pytest.raises(ValueError, match="layer sizes"):
+            lstm.Network(input_dim=2, sizes=sizes)
 
 
 def test_params_are_views_of_one_flat_buffer():
@@ -127,16 +127,6 @@ def test_params_are_views_of_one_flat_buffer():
     assert net.locate(0) == ("w1", 0)
     assert net.locate(104) == ("bd", 0)
     assert net.locate(151) == ("u2", 10)
-
-    # views of that layout are adopted; separate arrays are copied in
-    adopted = lstm.Network(2, (3, 4), dict(net.params))
-    assert adopted.flat is net.flat
-    loose = {k: p.copy() for k, p in net.params.items()}
-    packed = lstm.Network(2, (3, 4), loose)
-    assert not np.shares_memory(packed.flat, net.flat)
-    npt.assert_array_equal(packed.flat, net.flat)
-    loose["w1"][0, 0] += 1.0
-    assert packed.params["w1"][0, 0] == net.params["w1"][0, 0]
 
 
 def test_forward_matches_scalar_reference():
@@ -197,7 +187,7 @@ def test_backward_matches_numeric_gradients():
         net = lstm.init_network(2, sizes, seed=int(rng.integers(1000)))
         windows = rng.normal(size=(4, k, 2))
         targets = rng.normal(size=4)
-        _, grads = lstm.loss_and_grads(net, windows, targets)
+        _, grads = loss_and_grads(net, windows, targets)
         numeric = numeric_grads(net, windows, targets)
         assert grads.keys() == numeric.keys()
         for key in grads:
@@ -267,7 +257,8 @@ def per_array_adam_step(params, grads, state, t, config):
 def per_array_train(net, fit_set, val_set, config):
     """Oracle: train() as a loop over every named parameter array, with
     whole-dict best-epoch snapshots. Returns (params, history, best_epoch)."""
-    work = lstm.Network(net.input_dim, net.sizes, {k: p.copy() for k, p in net.params.items()})
+    work = lstm.Network(net.input_dim, net.sizes)
+    work.flat[...] = net.flat
     params = work.params
     state = lstm.AdamState(
         m={k: np.zeros_like(p) for k, p in params.items()},
@@ -569,6 +560,37 @@ def test_load_model_rejects_mismatched_parameters(tmp_path):
     short.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="truncated"):
         lstm.load_model(str(short))
+
+
+@pytest.mark.parametrize("which", ["mins", "maxs"])
+@pytest.mark.parametrize("fault, message", [
+    ("wrong length", "missing or misshaped"),
+    ("int64", "missing or misshaped"),
+    ("truncated", "is truncated"),
+])
+def test_load_model_checks_the_normalization_arrays(tmp_path, which, fault, message):
+    model, _, _ = small_trained_model(1, (3,))
+    path = tmp_path / "m.bin"
+    lstm.save_model(str(path), model)
+    magic, meta, rest = path.read_bytes().split(b"\n", 2)
+    arrays = io.BytesIO(rest)
+    ends = []
+    for _ in range(2):
+        np.load(arrays)
+        ends.append(arrays.tell())
+    lo, hi = (0, ends[0]) if which == "mins" else (ends[0], ends[1])
+    good = getattr(model.norm, which)
+    if fault == "truncated":
+        replaced, tail = rest[lo : hi - 4], b""
+    else:
+        bad = np.zeros(good.size + 1) if fault == "wrong length" else good.astype(np.int64)
+        buf = io.BytesIO()
+        np.save(buf, bad, allow_pickle=False)
+        replaced, tail = buf.getvalue(), rest[hi:]
+    broken = tmp_path / "bad.bin"
+    broken.write_bytes(b"\n".join([magic, meta, rest[:lo] + replaced + tail]))
+    with pytest.raises(ValueError, match=f"normalization {which} {message}"):
+        lstm.load_model(str(broken))
 
 
 def test_train_logs_each_epoch_at_debug_level(caplog):

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinseer import ingest, signals
+from coinseer import signals
 from coinseer.harness import grid
 from coinseer.ingest import CommentRecord, EventRecord, PriceSeries, daily_calendar
+from oracles import day_of, read_signal_csv
 
 
 def epoch(day, hour=12):
@@ -203,7 +204,7 @@ def test_signal_csv_round_trip(tmp_path):
     matrix = signals.SignalMatrix(CAL, ("alpha", "beta"), values)
     path = tmp_path / "m.csv"
     signals.write_signal_csv(str(path), matrix)
-    again = signals.read_signal_csv(str(path))
+    again = read_signal_csv(str(path))
     assert again.dates == matrix.dates
     assert again.columns == matrix.columns
     npt.assert_array_equal(again.values, matrix.values)
@@ -282,7 +283,7 @@ def test_readme_family_table_matches_the_code():
 
 
 # The per-family loops that the comment table replaced, kept as its oracle:
-# each family buckets the records by ingest.day_of, tokenizes each body
+# each family buckets the records by day_of, tokenizes each body
 # again, and scores a comment's sentiment with np.mean over its lexicon
 # values in token order.
 
@@ -291,7 +292,7 @@ def oracle_buckets(comments, calendar):
     index = {d: i for i, d in enumerate(calendar)}
     buckets = [[] for _ in calendar]
     for rec in comments:
-        i = index.get(ingest.day_of(rec.created_utc))
+        i = index.get(day_of(rec.created_utc))
         if i is not None:
             buckets[i].append(rec)
     return buckets
@@ -359,7 +360,7 @@ def test_comment_table_families_equal_the_per_family_loops_bitwise():
     counts = [sum(t in lexicon.entries for t in signals.tokenize(c.body)) for c in comments]
     assert max(counts) > 8 and min(counts) == 0
     assert any(not c.body.strip() for c in comments)
-    outside = [ingest.day_of(c.created_utc) not in calendar for c in comments]
+    outside = [day_of(c.created_utc) not in calendar for c in comments]
     assert 0 < sum(outside) < len(comments)
     # on these inputs a sum in another order (np.cumsum's, left to right)
     # than np.mean's gives other bits
@@ -408,6 +409,20 @@ def test_assemble_coin_tokenizes_each_comment_once(monkeypatch):
     assert list(coin.signals) == list(signals.FAMILIES)
 
 
+def test_assemble_coin_drops_language_only_when_no_comment_has_tokens(caplog):
+    comments, calendar, lexicon = oracle_corpus(days=10)
+    high = np.linspace(10.0, 20.0, len(calendar))
+    price = PriceSeries("c", calendar, high - 1.0, high, high - 2.0, high - 1.0)
+    with pytest.raises(ValueError, match="vocabulary size must be positive"):
+        grid.assemble_coin(price, comments, [], lexicon, vocab_size=0)
+    tokenless = [c for c in comments if not signals.tokenize(c.body)]
+    assert tokenless
+    with caplog.at_level("WARNING", logger="coinseer.harness.grid"):
+        coin = grid.assemble_coin(price, tokenless, [], lexicon, vocab_size=20)
+    assert "r_lang" not in coin.signals
+    assert "c: empty comment corpus, language signal unavailable" in caplog.messages
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     start=st.dates(date(1970, 1, 2), date(2100, 1, 1)),
@@ -419,7 +434,7 @@ def test_day_row_at_utc_midnight(start, days, offset, second):
     calendar = daily_calendar(start, start + timedelta(days=days - 1))
     day = start + timedelta(days=offset)
     ts = int(datetime(day.year, day.month, day.day, tzinfo=timezone.utc).timestamp()) + second
-    want = calendar.index(ingest.day_of(ts)) if ingest.day_of(ts) in calendar else -1
+    want = calendar.index(day_of(ts)) if day_of(ts) in calendar else -1
     assert table([CommentRecord(ts, "s", "x", 1)], calendar=calendar).day.tolist() == [want]
     counts = signals.github_all_signal([EventRecord(ts, "a/b", "Push")], calendar)
     assert counts.column("gh_all_push").tolist() == [float(i == want) for i in range(days)]

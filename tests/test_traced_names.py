@@ -4,9 +4,13 @@ module and attribute name; every name it lists must stay callable."""
 import ast
 import importlib
 import inspect
+from datetime import date, timedelta
 from pathlib import Path
 
-from coinseer import signals
+import numpy as np
+
+from coinseer import lstm, signals
+from coinseer.dataset import NormParams, WindowedDataset
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,3 +37,29 @@ def test_every_traced_target_resolves_to_a_callable():
     # the tracer counts comments as len() of this function's first argument
     first = next(iter(inspect.signature(signals.reddit_volume_signal).parameters))
     assert first == "comments"
+
+
+def test_train_and_adam_step_hold_what_the_tracer_counts(monkeypatch):
+    # the tracer sizes the model from train's args[0].params and Adam's
+    # bytes from the .values() of adam_step's first argument
+    firsts = []
+    adam_step = lstm.adam_step
+
+    def spy(*args, **kwargs):
+        firsts.append(args[0])
+        return adam_step(*args, **kwargs)
+
+    monkeypatch.setattr(lstm, "adam_step", spy)
+    rng = np.random.default_rng(0)
+    days = tuple(date(2021, 1, 1) + timedelta(days=i) for i in range(6))
+    ds = WindowedDataset(
+        inputs=rng.uniform(size=(6, 2, 3)), targets=rng.uniform(size=6),
+        anchor_dates=days, k=2, j=1, feature_names=("a", "b", "c"),
+    )
+    norm = NormParams(columns=("a", "b", "c"), mins=np.zeros(3), maxs=np.ones(3))
+    args = (lstm.init_network(3, (4,), seed=0), ds, ds, lstm.TrainConfig(max_epochs=1))
+    lstm.train(*args, norm=norm)
+    assert sum(int(p.size) for p in args[0].params.values()) == args[0].flat.size
+    assert firsts
+    for params in firsts:
+        assert sum(int(p.size) for p in params.values()) == args[0].live_size(ds.k)

@@ -483,6 +483,8 @@ def _matrix_for_columns(
 def cmd_ablate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     options = _run_options(args, seed, k_max=max(args.k), j_max=max(args.j))
+    if args.jobs < 1:
+        raise ValueError("jobs must be positive")
     bundle = _bundle_for(args, seed)
     available = _available_families(bundle)
     subsets = _signal_subsets(args.signals, available)
@@ -518,9 +520,9 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         written = harness_report.emit_report(results, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        write_manifest(args.out, "ablate", seed, manifest_args)
         return 1
-    write_manifest(args.out, "ablate", seed, manifest_args)
+    finally:
+        write_manifest(args.out, "ablate", seed, manifest_args)
     print(f"wrote {len(written) + 2} files to {args.out}")
     if failed:
         print(f"{failed} of {total} experiments failed", file=sys.stderr)

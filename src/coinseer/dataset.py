@@ -10,9 +10,6 @@ import numpy as np
 
 from .signals import SignalMatrix
 
-DateRange = tuple[date, date]
-
-
 @dataclass(frozen=True)
 class NormParams:
     """Per-column min-max parameters, keyed by column name."""
@@ -108,8 +105,8 @@ def invert_minmax(value: float | np.ndarray, column: str, params: NormParams) ->
 def make_windows(matrix: SignalMatrix, targets: np.ndarray, k: int, j: int) -> WindowedDataset:
     """Enumerate every supervised sample the series supports.
 
-    Anchors run from day k-1 through day n-1-j; sample count is
-    n - k - j + 1.
+    Anchors run from row k-1 through row n-1-j, so sample s is anchored
+    at row k-1+s; sample count is n - k - j + 1.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -122,15 +119,11 @@ def make_windows(matrix: SignalMatrix, targets: np.ndarray, k: int, j: int) -> W
     count = n - k - j + 1
     if count < 1:
         raise ValueError(f"series of {n} days too short for k={k}, j={j}")
-    window_inputs = np.stack(
-        [matrix.values[i - k + 1 : i + 1] for i in range(k - 1, n - j)]
-    )
-    window_targets = np.array([y[i + j] for i in range(k - 1, n - j)])
-    anchors = tuple(matrix.dates[i] for i in range(k - 1, n - j))
+    windows = np.lib.stride_tricks.sliding_window_view(matrix.values, k, axis=0)
     return WindowedDataset(
-        inputs=window_inputs,
-        targets=window_targets,
-        anchor_dates=anchors,
+        inputs=windows[:count].transpose(0, 2, 1).copy(),
+        targets=y[k - 1 + j :].copy(),
+        anchor_dates=matrix.dates[k - 1 : n - j],
         k=k,
         j=j,
         feature_names=matrix.columns,
@@ -138,19 +131,18 @@ def make_windows(matrix: SignalMatrix, targets: np.ndarray, k: int, j: int) -> W
 
 
 def split_protocol(
-    dates: tuple[date, ...],
+    n_days: int,
     k_max: int = 14,
     j_max: int = 3,
     train_frac: float = 0.8,
-) -> tuple[DateRange, DateRange]:
-    """Anchor-date ranges for train and test shared across all (k, j).
+) -> tuple[range, range]:
+    """Train and test anchor rows shared across all (k, j).
 
     Anchors are enumerated at the largest window sizes (k_max, j_max); the
-    first floor(train_frac * count) anchor dates form the train range and
-    the remainder the test range. Every smaller (k, j) reuses these exact
-    date ranges, so all configurations compare on identical days.
+    first floor(train_frac * count) anchor rows train and the remainder
+    test. Every smaller (k, j) reuses these exact rows, so all
+    configurations compare on identical days.
     """
-    n_days = len(dates)
     if not 0.0 < train_frac < 1.0:
         raise ValueError(f"train_frac must lie in (0, 1), got {train_frac}")
     if n_days < k_max + j_max + 5:
@@ -163,27 +155,32 @@ def split_protocol(
     if n_train < 1 or count - n_train < 1:
         raise ValueError("split leaves an empty train or test set")
     first = k_max - 1
-    train_range = (dates[first], dates[first + n_train - 1])
-    test_range = (dates[first + n_train], dates[first + count - 1])
-    return train_range, test_range
+    return range(first, first + n_train), range(first + n_train, first + count)
 
 
-def subset_by_anchor(ds: WindowedDataset, start: date, end: date) -> WindowedDataset:
-    """Samples whose anchor date falls inside [start, end]."""
-    if start > end:
-        raise ValueError(f"start {start} after end {end}")
-    keep = [i for i, d in enumerate(ds.anchor_dates) if start <= d <= end]
-    if not keep:
-        raise ValueError(f"no anchors in {start}..{end}")
-    idx = np.array(keep)
+def _slice(ds: WindowedDataset, lo: int, hi: int) -> WindowedDataset:
     return WindowedDataset(
-        inputs=ds.inputs[idx].copy(),
-        targets=ds.targets[idx].copy(),
-        anchor_dates=tuple(ds.anchor_dates[i] for i in keep),
+        inputs=ds.inputs[lo:hi].copy(),
+        targets=ds.targets[lo:hi].copy(),
+        anchor_dates=ds.anchor_dates[lo:hi],
         k=ds.k,
         j=ds.j,
         feature_names=ds.feature_names,
     )
+
+
+def subset_by_anchor(ds: WindowedDataset, rows: range) -> WindowedDataset:
+    """Samples anchored at ``rows``, a contiguous range of the rows of the
+    series that make_windows windowed into ``ds``."""
+    first = ds.k - 1
+    if not rows:
+        raise ValueError(f"no anchors in {rows}")
+    if rows.step != 1 or rows[0] < first or rows[-1] >= first + len(ds):
+        raise ValueError(
+            f"{rows} is not a contiguous run of the windows' anchor rows "
+            f"{first}..{first + len(ds) - 1}"
+        )
+    return _slice(ds, rows[0] - first, rows[-1] + 1 - first)
 
 
 def validation_tail(
@@ -196,15 +193,5 @@ def validation_tail(
     n = len(ds)
     if n < 5:
         raise ValueError(f"need at least 5 samples to hold out a tail, got {n}")
-    n_val = math.ceil(frac * n)
-    split = n - n_val
-    def _slice(lo: int, hi: int) -> WindowedDataset:
-        return WindowedDataset(
-            inputs=ds.inputs[lo:hi].copy(),
-            targets=ds.targets[lo:hi].copy(),
-            anchor_dates=ds.anchor_dates[lo:hi],
-            k=ds.k,
-            j=ds.j,
-            feature_names=ds.feature_names,
-        )
-    return _slice(0, split), _slice(split, n)
+    split = n - math.ceil(frac * n)
+    return _slice(ds, 0, split), _slice(ds, split, n)

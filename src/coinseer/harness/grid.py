@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -220,9 +222,24 @@ def _feature_matrix(cd: CoinData, signal_set: Sequence[str]) -> SignalMatrix:
     return signals.concat_signals(parts)
 
 
-def _slice_rows(matrix: SignalMatrix, end: date) -> SignalMatrix:
-    keep = [i for i, d in enumerate(matrix.dates) if d <= end]
-    return SignalMatrix(matrix.dates[: len(keep)], matrix.columns, matrix.values[: len(keep)].copy())
+def _split(cfg: ExperimentConfig, cd: CoinData, options: RunOptions) -> tuple[range, range, int]:
+    """The run's train and test anchor rows, and the last row a
+    training-period forecaster has seen: the target of the last train
+    anchor, j days past it."""
+    train, test = dataset.split_protocol(
+        len(cd.price.dates), options.k_max, options.j_max, options.train_frac
+    )
+    return train, test, train[-1] + cfg.j
+
+
+def _scored(
+    cfg: ExperimentConfig, cd: CoinData, anchors: range, preds: np.ndarray, summary: dict
+) -> ExperimentResult:
+    """Score forecasts made at ``anchors`` against the price high j days later."""
+    days = slice(anchors.start + cfg.j, anchors.stop + cfg.j)
+    truth = cd.price.high[days]
+    rows = tuple((d, float(y), float(p)) for d, y, p in zip(cd.price.dates[days], truth, preds))
+    return ExperimentResult(cfg, metrics.evaluate(preds, truth), rows, summary)
 
 
 def train_lstm_experiment(
@@ -233,20 +250,15 @@ def train_lstm_experiment(
         raise ValueError("not an LSTM config")
     cd = bundle.coins[cfg.coin]
     matrix = _feature_matrix(cd, cfg.signal_set)
-    train_range, test_range = dataset.split_protocol(
-        matrix.dates, options.k_max, options.j_max, options.train_frac
+    train, test, seen = _split(cfg, cd, options)
+    fit_rows = len(matrix.dates) if options.whole_series_norm else seen + 1
+    norm = dataset.fit_minmax(
+        SignalMatrix(matrix.dates[:fit_rows], matrix.columns, matrix.values[:fit_rows])
     )
-    if options.whole_series_norm:
-        norm = dataset.fit_minmax(matrix)
-    else:
-        seen_until = train_range[1] + timedelta(days=cfg.j)
-        norm = dataset.fit_minmax(_slice_rows(matrix, seen_until))
     normed, out_of_range = dataset.apply_minmax(matrix, norm)
-    targets = normed.column(PRICE_COLUMN)
-    windows = dataset.make_windows(normed, targets, cfg.k, cfg.j)
-    train_ds = dataset.subset_by_anchor(windows, *train_range)
-    test_ds = dataset.subset_by_anchor(windows, *test_range)
-    fit_ds, val_ds = dataset.validation_tail(train_ds)
+    windows = dataset.make_windows(normed, normed.column(PRICE_COLUMN), cfg.k, cfg.j)
+    fit_ds, val_ds = dataset.validation_tail(dataset.subset_by_anchor(windows, train))
+    test_ds = dataset.subset_by_anchor(windows, test)
     cid = config_id(cfg)
     net = lstm.init_network(
         input_dim=len(matrix.columns),
@@ -255,37 +267,22 @@ def train_lstm_experiment(
     )
     config = options.train_config(derive_seed(options.master_seed, "train", cid))
     model = lstm.train(net, fit_ds, val_ds, config, norm=norm)
-    preds_usd = lstm.predict(model, test_ds.inputs)
-    price_index = {d: i for i, d in enumerate(cd.price.dates)}
-    target_dates = tuple(d + timedelta(days=cfg.j) for d in test_ds.anchor_dates)
-    truth_usd = np.array([cd.price.high[price_index[d]] for d in target_dates])
-    report = metrics.evaluate(preds_usd, truth_usd)
-    rows = tuple(
-        (d, float(t), float(p)) for d, t, p in zip(target_dates, truth_usd, preds_usd)
-    )
     summary = {
         "epochs": len(model.history),
         "best_epoch": model.best_epoch,
         "best_val_mse": min(s.val_mse for s in model.history),
         "out_of_range": out_of_range,
     }
-    return ExperimentResult(cfg, report, rows, summary), model
+    return _scored(cfg, cd, test, lstm.predict(model, test_ds.inputs), summary), model
 
 
 def _run_arima(
     cfg: ExperimentConfig, bundle: DataBundle, options: RunOptions
 ) -> ExperimentResult:
     cd = bundle.coins[cfg.coin]
-    dates = cd.price.dates
-    train_range, test_range = dataset.split_protocol(
-        dates, options.k_max, options.j_max, options.train_frac
-    )
-    index = {d: i for i, d in enumerate(dates)}
     high = cd.price.high
-    # Fit on everything a training-period forecaster could have seen:
-    # through the last training target, j days past the last train anchor.
-    fit_end = index[train_range[1]] + cfg.j
-    y_train = high[: fit_end + 1]
+    _, test, seen = _split(cfg, cd, options)
+    y_train = high[: seen + 1]
     p = arima.select_lag(y_train, options.max_lag)
     try:
         model = arima.fit(y_train, p)
@@ -293,24 +290,13 @@ def _run_arima(
         log.warning("%s: singular fit at lag %d, falling back to lag 0", cfg.coin, p)
         p = 0
         model = arima.fit(y_train, 0)
-    first = index[test_range[0]]
-    last = index[test_range[1]]
-    anchors = range(first, last + 1)
-    preds = np.array(
-        [arima.forecast(model, high[: a + 1], cfg.j) for a in anchors]
-    )
-    target_dates = tuple(dates[a + cfg.j] for a in anchors)
-    truth = np.array([high[a + cfg.j] for a in anchors])
-    report = metrics.evaluate(preds, truth)
-    rows = tuple(
-        (d, float(t), float(pv)) for d, t, pv in zip(target_dates, truth, preds)
-    )
+    preds = np.array([arima.forecast(model, high[: a + 1], cfg.j) for a in test])
     summary = {
         "lag": model.p,
         "intercept": model.intercept,
         "ar_coeffs": [float(c) for c in model.ar_coeffs],
     }
-    return ExperimentResult(cfg, report, rows, summary)
+    return _scored(cfg, cd, test, preds, summary)
 
 
 def run_experiment(
@@ -337,24 +323,18 @@ def run_grid(
 ) -> list[ExperimentResult]:
     """Run every config, preserving input order in the results.
 
-    Experiments are independent (seeds derive from the master seed and
-    the config identity), so results do not depend on ``jobs``.
+    ``jobs=1`` runs the experiments one by one in the calling thread;
+    ``jobs=N`` runs them in N threads of this process. Experiments are
+    independent (seeds derive from the master seed and the config
+    identity), so results do not depend on ``jobs``.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    if jobs == 1:
-        results = []
-        for cfg in configs:
-            result = run_experiment(cfg, bundle, options)
-            if progress is not None:
-                progress(result)
-            results.append(result)
-        return results
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_experiment, cfg, bundle, options) for cfg in configs]
-        results = []
-        for future in futures:
-            result = future.result()
+    run = functools.partial(run_experiment, bundle=bundle, options=options)
+    results = []
+    with contextlib.ExitStack() as stack:
+        mapper = map if jobs == 1 else stack.enter_context(ThreadPoolExecutor(jobs)).map
+        for result in mapper(run, configs):
             if progress is not None:
                 progress(result)
             results.append(result)

@@ -210,18 +210,19 @@ def test_windowing_and_normalization_laws(capfd):
 
         n, k_max, j_max = 60, 14, 3
         cal = daily_calendar(date(2021, 1, 1), date(2021, 1, 1) + timedelta(days=n - 1))
-        train_range, test_range = dataset.split_protocol(cal, k_max, j_max, 0.8)
+        train_rows, test_rows = dataset.split_protocol(n, k_max, j_max, 0.8)
         count = n - k_max - j_max + 1
         n_train = math.floor(0.8 * count)
         matrix = SignalMatrix(cal, ("price_high",), rng.uniform(1, 2, size=(n, 1)))
         for k in (1, 5, 14):
             for j in (1, 2, 3):
                 ds = dataset.make_windows(matrix, matrix.values[:, 0], k, j)
-                train = dataset.subset_by_anchor(ds, *train_range)
-                test = dataset.subset_by_anchor(ds, *test_range)
-                assert train.anchor_dates[0] == train_range[0] == cal[k_max - 1]
-                assert train.anchor_dates[-1] == train_range[1]
-                assert test.anchor_dates[0] == test_range[0]
+                train = dataset.subset_by_anchor(ds, train_rows)
+                test = dataset.subset_by_anchor(ds, test_rows)
+                assert train_rows[0] == k_max - 1
+                assert train.anchor_dates[0] == cal[train_rows[0]] == cal[k_max - 1]
+                assert train.anchor_dates[-1] == cal[train_rows[-1]]
+                assert test.anchor_dates[0] == cal[test_rows[0]]
                 assert len(train) == n_train
                 assert set(train.anchor_dates).isdisjoint(test.anchor_dates)
                 if (k, j) == (k_max, j_max):

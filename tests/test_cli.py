@@ -4,9 +4,11 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +100,34 @@ def test_bad_run_settings_fail_before_any_data_is_read(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not out.exists()
+
+
+def test_readme_commands_parse():
+    # every flag must be spelled out in full: argparse would take a
+    # renamed flag's old name as an abbreviation of the new one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("coinseer ")
+    ]
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for line in commands:
+        argv = shlex.split(line)[1:]
+        try:
+            parsed = vars(parser.parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        for flag in (a for a in argv if a.startswith("--")):
+            assert flag[2:].replace("-", "_") in parsed, f"{flag} in README: {line}"
+
+
+def test_bad_jobs_fail_before_any_data_is_read(tmp_path, capsys, monkeypatch):
+    test_bad_run_settings_fail_before_any_data_is_read(
+        tmp_path, capsys, monkeypatch, "ablate", "--jobs", "0", "jobs must be positive"
+    )
 
 
 def test_synth_writes_complete_archive(tmp_path, capsys):

@@ -80,43 +80,52 @@ def test_make_windows_rejects_short_series():
 def test_split_protocol_shared_across_window_sizes():
     n, k_max, j_max = 60, 14, 3
     cal = daily_calendar(date(2021, 1, 1), date(2021, 1, 1) + timedelta(days=n - 1))
-    train_range, test_range = dataset.split_protocol(cal, k_max, j_max, 0.8)
+    train_rows, test_rows = dataset.split_protocol(n, k_max, j_max, 0.8)
     count = n - k_max - j_max + 1
     n_train = int(0.8 * count)
-    assert train_range[0] == cal[k_max - 1]
-    assert train_range[1] == cal[k_max - 1 + n_train - 1]
-    assert test_range[0] == cal[k_max - 1 + n_train]
-    assert test_range[1] == cal[k_max - 1 + count - 1]
+    assert train_rows[0] == k_max - 1
+    assert train_rows[-1] == k_max - 1 + n_train - 1
+    assert test_rows[0] == k_max - 1 + n_train
+    assert test_rows[-1] == k_max - 1 + count - 1
 
     matrix = matrix_of(np.arange(n, dtype=np.float64), start=cal[0])
     targets = np.arange(n, dtype=np.float64)
     for k in (1, 7, 14):
         for j in (1, 2, 3):
             ds = dataset.make_windows(matrix, targets, k, j)
-            train = dataset.subset_by_anchor(ds, *train_range)
-            test = dataset.subset_by_anchor(ds, *test_range)
-            assert train.anchor_dates[0] == train_range[0]
-            assert train.anchor_dates[-1] == train_range[1]
-            assert test.anchor_dates[0] == test_range[0]
+            train = dataset.subset_by_anchor(ds, train_rows)
+            test = dataset.subset_by_anchor(ds, test_rows)
+            assert train.anchor_dates[0] == cal[train_rows[0]]
+            assert train.anchor_dates[-1] == cal[train_rows[-1]]
+            assert test.anchor_dates[0] == cal[test_rows[0]]
             assert len(train) == n_train
             assert set(train.anchor_dates).isdisjoint(test.anchor_dates)
 
 
 def test_split_protocol_rejects_short_series():
-    cal = daily_calendar(date(2021, 1, 1), date(2021, 1, 21))
     with pytest.raises(ValueError, match="at least 22"):
-        dataset.split_protocol(cal, 14, 3, 0.8)
+        dataset.split_protocol(21, 14, 3, 0.8)
     with pytest.raises(ValueError):
-        dataset.split_protocol(cal, 2, 1, 1.5)
+        dataset.split_protocol(21, 2, 1, 1.5)
 
 
 def test_subset_by_anchor_errors():
     matrix = matrix_of(np.arange(10.0))
-    ds = dataset.make_windows(matrix, np.arange(10.0), 2, 1)
+    ds = dataset.make_windows(matrix, np.arange(10.0), 2, 1)  # anchor rows 1..8
+    with pytest.raises(ValueError, match="not a contiguous run"):
+        dataset.subset_by_anchor(ds, range(40, 45))
+    with pytest.raises(ValueError, match="not a contiguous run"):
+        dataset.subset_by_anchor(ds, range(0, 3))
+    with pytest.raises(ValueError, match="not a contiguous run"):
+        dataset.subset_by_anchor(ds, range(7, 10))
+    with pytest.raises(ValueError, match="not a contiguous run"):
+        dataset.subset_by_anchor(ds, range(1, 9, 2))
     with pytest.raises(ValueError, match="no anchors"):
-        dataset.subset_by_anchor(ds, date(2030, 1, 1), date(2030, 1, 5))
-    with pytest.raises(ValueError):
-        dataset.subset_by_anchor(ds, date(2021, 3, 5), date(2021, 3, 1))
+        dataset.subset_by_anchor(ds, range(5, 5))
+    with pytest.raises(ValueError, match="no anchors"):
+        dataset.subset_by_anchor(ds, range(5, 1))
+    whole = dataset.subset_by_anchor(ds, range(1, 9))
+    assert whole.anchor_dates == ds.anchor_dates
 
 
 def test_validation_tail_sizes():

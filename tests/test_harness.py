@@ -7,9 +7,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from coinseer import stats
+from coinseer import arima, dataset, signals, stats
 from coinseer.harness import grid, synthetic
 from coinseer.harness import report as harness_report
+from coinseer.ingest import PriceSeries
 from coinseer.metrics import MetricsReport
 from coinseer.signals import bundled_lexicon
 
@@ -202,6 +203,38 @@ def test_train_lstm_experiment_norm_modes():
     # truths agree, only the forecasts move
     assert [d for d, _, _ in whole.predictions] == [d for d, _, _ in causal.predictions]
     assert [t for _, t, _ in whole.predictions] == [t for _, t, _ in causal.predictions]
+
+
+def test_both_model_kinds_fit_on_the_rows_seen_in_training(monkeypatch):
+    # with a strictly rising price the fitted maximum sits on the last row
+    # read, so reading one row more or one fewer changes norm.maxs
+    synth = synthetic.synthetic_bundle(3, days=60, n_coins=1).coins["alphacoin"]
+    n = len(synth.price.dates)
+    high = 100.0 + np.cumsum(np.random.default_rng(1).uniform(0.5, 1.5, n))
+    price = PriceSeries("alphacoin", synth.price.dates, high, high, high, high)
+    bundle = grid.DataBundle({"alphacoin": grid.CoinData(price, synth.signals)})
+    matrix = signals.concat_signals([signals.price_high_signal(price), synth.signals["r_vol"]])
+    options = small_options(j_max=3, whole_series_norm=False)
+    train, _ = dataset.split_protocol(n, options.k_max, options.j_max, options.train_frac)
+    lengths = []
+    select_lag = arima.select_lag
+
+    def spy(y, *args):
+        lengths.append(len(y))
+        return select_lag(y, *args)
+
+    monkeypatch.setattr(arima, "select_lag", spy)
+    for j in (1, 2, 3):
+        seen = train[-1] + j + 1
+        baseline = grid.ExperimentConfig("alphacoin", "arima", (), 0, j)
+        assert grid.run_experiment(baseline, bundle, options).error is None
+        assert lengths == [seen]
+        lengths.clear()
+        cfg = grid.ExperimentConfig("alphacoin", "lstm", ("r_vol",), 1, j)
+        _, model = grid.train_lstm_experiment(cfg, bundle, options)
+        npt.assert_array_equal(model.norm.mins, matrix.values[:seen].min(axis=0))
+        npt.assert_array_equal(model.norm.maxs, matrix.values[:seen].max(axis=0))
+        assert model.norm.maxs[0] == high[seen - 1]
 
 
 def test_rank_models_matches_hand_average():

@@ -24,8 +24,8 @@ from .grid import (
 
 _CI_NOTE = (
     "ci columns are 95% half-widths: a normal approximation on the mean "
-    "absolute percentage error, and the square root of the equivalent "
-    "half-width on the mean squared percentage error for rmspe."
+    "absolute percentage error, and for rmspe the half-width on the mean "
+    "squared percentage error over 2*rmspe (delta method)."
 )
 
 _TRUTH_COLOR = "#1f77b4"

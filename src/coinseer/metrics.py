@@ -13,10 +13,11 @@ class MetricsReport:
     """Error summary of one forecast run.
 
     mape, maxape, and rmspe are percentages; mspe is percent squared;
-    rmse is in price units. The _ci fields are 95% half-widths: a normal
-    approximation on the mean absolute percentage error, and the square
-    root of the equivalent half-width on the mean squared percentage
-    error for rmspe.
+    rmse is in price units. The _ci fields are 95% half-widths from a
+    normal approximation: on the mean absolute percentage error for
+    mape, and for rmspe the half-width on the mean squared percentage
+    error over 2 * rmspe (the delta method). Both are 0 with fewer than
+    two samples, and rmspe_ci is 0 when rmspe is.
     """
 
     n: int
@@ -47,19 +48,19 @@ def evaluate(predictions: np.ndarray, truth: np.ndarray) -> MetricsReport:
     spe = (100.0 * frac) ** 2
     mape = float(ape.mean())
     mspe = float(spe.mean())
+    rmspe = math.sqrt(mspe)
+    mape_ci = rmspe_ci = 0.0
     if n >= 2:
         mape_ci = 1.96 * float(ape.std(ddof=1)) / math.sqrt(n)
-        rmspe_ci = math.sqrt(1.96 * float(spe.std(ddof=1)) / math.sqrt(n))
-    else:
-        mape_ci = 0.0
-        rmspe_ci = 0.0
+        if rmspe > 0.0:
+            rmspe_ci = 1.96 * float(spe.std(ddof=1)) / math.sqrt(n) / (2.0 * rmspe)
     return MetricsReport(
         n=n,
         mape=mape,
         mape_ci=mape_ci,
         maxape=float(ape.max()),
         mspe=mspe,
-        rmspe=math.sqrt(mspe),
+        rmspe=rmspe,
         rmspe_ci=rmspe_ci,
         rmse=float(np.sqrt(((preds - true) ** 2).mean())),
     )

@@ -27,13 +27,16 @@ def test_confidence_halfwidths_match_definitions():
     ape = 100.0 * np.abs(preds - truth) / truth
     spe = (100.0 * (preds - truth) / truth) ** 2
     npt.assert_allclose(report.mape_ci, 1.96 * ape.std(ddof=1) / math.sqrt(40))
-    npt.assert_allclose(report.rmspe_ci, math.sqrt(1.96 * spe.std(ddof=1) / math.sqrt(40)))
+    # delta method: d(sqrt(m)) = dm / (2 sqrt(m))
+    rmspe = math.sqrt(spe.mean())
+    npt.assert_allclose(report.rmspe_ci, 1.96 * spe.std(ddof=1) / math.sqrt(40) / (2 * rmspe))
     assert report.rmspe >= report.mape  # RMS dominates the mean
 
 
 def test_perfect_forecast_and_single_sample():
     report = metrics.evaluate([7.0, 7.0], [7.0, 7.0])
     assert report.mape == report.rmspe == report.maxape == 0.0
+    assert report.mape_ci == report.rmspe_ci == 0.0
     single = metrics.evaluate([11.0], [10.0])
     assert single.n == 1
     npt.assert_allclose(single.mape, 10.0)

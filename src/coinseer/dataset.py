@@ -10,6 +10,7 @@ import numpy as np
 
 from .signals import SignalMatrix
 
+
 @dataclass(frozen=True)
 class NormParams:
     """Per-column min-max parameters, keyed by column name."""

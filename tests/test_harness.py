@@ -225,16 +225,16 @@ def test_both_model_kinds_fit_on_the_rows_seen_in_training(monkeypatch):
 
     monkeypatch.setattr(arima, "select_lag", spy)
     for j in (1, 2, 3):
-        seen = train[-1] + j + 1
+        n_seen = train[-1] + j + 1  # rows through the last train target
         baseline = grid.ExperimentConfig("alphacoin", "arima", (), 0, j)
         assert grid.run_experiment(baseline, bundle, options).error is None
-        assert lengths == [seen]
+        assert lengths == [n_seen]
         lengths.clear()
         cfg = grid.ExperimentConfig("alphacoin", "lstm", ("r_vol",), 1, j)
         _, model = grid.train_lstm_experiment(cfg, bundle, options)
-        npt.assert_array_equal(model.norm.mins, matrix.values[:seen].min(axis=0))
-        npt.assert_array_equal(model.norm.maxs, matrix.values[:seen].max(axis=0))
-        assert model.norm.maxs[0] == high[seen - 1]
+        npt.assert_array_equal(model.norm.mins, matrix.values[:n_seen].min(axis=0))
+        npt.assert_array_equal(model.norm.maxs, matrix.values[:n_seen].max(axis=0))
+        assert model.norm.maxs[0] == high[n_seen - 1]
 
 
 def test_rank_models_matches_hand_average():

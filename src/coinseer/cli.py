@@ -480,10 +480,17 @@ def _matrix_for_columns(
     return matrix
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def cmd_ablate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     options = _run_options(args, seed, k_max=max(args.k), j_max=max(args.j))
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise ValueError("jobs must be positive")
     bundle = _bundle_for(args, seed)
     available = _available_families(bundle)
@@ -502,7 +509,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             print(f"[{cid}] rmspe {result.metrics.rmspe:.3f}%", file=sys.stderr)
 
     print(f"running {total} experiments", file=sys.stderr)
-    results = harness_grid.run_grid(configs, bundle, options, args.jobs, progress)
+    jobs = args.jobs if args.jobs is not None else _usable_cores()
+    results = harness_grid.run_grid(configs, bundle, options, jobs, progress)
     os.makedirs(args.out, exist_ok=True)
     harness_report.save_results(os.path.join(args.out, "results.json"), results)
     failed = sum(1 for r in results if r.metrics is None)
@@ -622,7 +630,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="forecast horizons (default 1..3)")
     p.add_argument("--signals", default="benchmark",
                    help="'benchmark', 'all', 'none', or comma-separated families")
-    p.add_argument("--jobs", type=int, default=1, help="parallel experiments")
+    p.add_argument("--jobs", type=int,
+                   help="worker processes (default: the usable cores, at most one "
+                   "per experiment)")
     p.add_argument("--out", default="out")
     _add_seed(p)
     _add_train_knobs(p)

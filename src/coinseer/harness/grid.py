@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import hashlib
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Callable, Iterable, Sequence
@@ -314,6 +314,57 @@ def run_experiment(
         return ExperimentResult(cfg, None, error=str(exc))
 
 
+#: The (bundle, options) of the grid being run. run_grid sets it before
+#: the pool forks, so workers inherit it and only configs and results
+#: cross between processes.
+_shared: tuple[DataBundle, RunOptions] | None = None
+
+
+def _run_shared(cfg: ExperimentConfig) -> ExperimentResult:
+    return run_experiment(cfg, *_shared)
+
+
+@functools.cache
+def _openblas_thread_control() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, or None (logged once) when none is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "blas" in line.lower() and "/" in line}
+    except OSError:
+        libs = set()
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    log.debug("no OpenBLAS thread control found; the grid runs at the default BLAS threads")
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS at one thread, then restore its count."""
+    control = _openblas_thread_control()
+    if control is None:
+        yield
+        return
+    get, set_ = control
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def run_grid(
     configs: Sequence[ExperimentConfig],
     bundle: DataBundle,
@@ -323,21 +374,39 @@ def run_grid(
 ) -> list[ExperimentResult]:
     """Run every config, preserving input order in the results.
 
-    ``jobs=1`` runs the experiments one by one in the calling thread;
-    ``jobs=N`` runs them in N threads of this process. Experiments are
-    independent (seeds derive from the master seed and the config
-    identity), so results do not depend on ``jobs``.
+    ``jobs=1`` runs the experiments one by one in the calling process;
+    ``jobs=N`` runs them in min(N, len(configs)) worker processes forked
+    from it, which inherit the bundle. Either way OpenBLAS runs at one
+    thread for the whole grid, and its thread count is restored after.
+    Experiments are independent (seeds derive from the master seed and
+    the config identity) and the matrix products always run on one
+    thread, so the results do not depend on ``jobs``, on the core count
+    or on ``OPENBLAS_NUM_THREADS``. ``progress`` sees each result in
+    config order, as soon as it and every earlier one are done.
     """
+    global _shared
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    run = functools.partial(run_experiment, bundle=bundle, options=options)
+    workers = min(jobs, len(configs))
     results = []
-    with contextlib.ExitStack() as stack:
-        mapper = map if jobs == 1 else stack.enter_context(ThreadPoolExecutor(jobs)).map
-        for result in mapper(run, configs):
-            if progress is not None:
-                progress(result)
-            results.append(result)
+    _shared = (bundle, options)
+    try:
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(_one_blas_thread())
+            if workers > 1:
+                # Imported here: it adds about 10 ms to the start of every command.
+                import multiprocessing
+
+                pool = stack.enter_context(multiprocessing.get_context("fork").Pool(workers))
+                mapped = pool.imap(_run_shared, configs, chunksize=1)
+            else:
+                mapped = map(_run_shared, configs)
+            for result in mapped:
+                if progress is not None:
+                    progress(result)
+                results.append(result)
+    finally:
+        _shared = None
     return results
 
 

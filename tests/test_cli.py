@@ -392,6 +392,45 @@ def test_ablate_end_to_end_and_report(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ablate_bytes_do_not_depend_on_jobs_or_blas_threads(tmp_path, capsys):
+    # At 400,800 units the GEMMs are large enough for OpenBLAS to split
+    # them, so a grid run at two BLAS threads would write other bytes.
+    argv = ["ablate", "--synthetic", "--days", "60", "--coins", "1", "--k", "1",
+            "--j", "1", "--seed", "3", "--epochs", "2", "--sizes", "400,800"]
+    control = grid._openblas_thread_control()
+    if control is not None:
+        get_threads, set_threads = control
+        default = get_threads()
+        set_threads(2)
+    try:
+        for jobs in ("1", "2"):
+            assert run(argv + ["--jobs", jobs, "--out", str(tmp_path / f"jobs{jobs}")]) == 0
+            if control is not None:
+                assert get_threads() == 2
+    finally:
+        if control is not None:
+            set_threads(default)
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "coinseer.cli", *argv, "--out", str(tmp_path / f"blas{threads}")],
+            capture_output=True, text=True, env=dict(env, OPENBLAS_NUM_THREADS=threads),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    capsys.readouterr()
+
+    def files(name):
+        return {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+
+    serial = files("jobs1")
+    assert len(serial) == 15
+    for name in ("jobs2", "blas1", "blas2"):
+        assert files(name) == serial, name
+
+
 def test_ablate_requires_a_source(capsys):
     assert run(["ablate", "--k", "1", "--j", "1"]) == 2
     assert "either --config or --synthetic" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Experiment grid, synthetic data generator, ranking, and report files."""
 
 import json
+import multiprocessing
 from datetime import date
 
 import numpy as np
@@ -177,6 +178,43 @@ def test_run_grid_parallel_matches_serial():
     for a, b in zip(serial, parallel):
         assert a.predictions == b.predictions
         assert a.metrics.rmspe == b.metrics.rmspe
+
+
+def test_run_grid_workers_fail_cells_like_serial_and_report_in_order():
+    bundle = synthetic.synthetic_bundle(4, days=60, n_coins=1)
+    configs = grid.enumerate_grid(["alphacoin"], [], [1], [1, 2], subsets=[()])
+    # a window past the run's k_max: its anchors lie outside the split
+    configs.insert(2, grid.ExperimentConfig("alphacoin", "lstm", (), 54, 1))
+    options = small_options()
+    control = grid._openblas_thread_control()
+    seen = []
+
+    def progress(result):
+        seen.append((result.config, control[0]() if control else None))
+
+    serial = grid.run_grid(configs, bundle, options, jobs=1)
+    parallel = grid.run_grid(configs, bundle, options, jobs=2, progress=progress)
+    assert [r.error is not None for r in parallel] == [False, False, True, False, False]
+    assert parallel == serial
+    assert [cfg for cfg, _ in seen] == configs
+    if control is not None:
+        assert {threads for _, threads in seen} == {1}
+
+
+def test_run_grid_propagates_unexpected_worker_errors(monkeypatch):
+    bundle = synthetic.synthetic_bundle(4, days=60, n_coins=1)
+    configs = grid.enumerate_grid(["alphacoin"], [], [1], [1, 2], subsets=[()])
+    real = grid.run_experiment
+
+    def broken(cfg, bundle, options):
+        if cfg == configs[1]:
+            raise RuntimeError("worker bug")
+        return real(cfg, bundle, options)
+
+    monkeypatch.setattr(grid, "run_experiment", broken)
+    with pytest.raises(RuntimeError, match="worker bug"):
+        grid.run_grid(configs, bundle, small_options(), jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_run_experiment_reports_failure_instead_of_raising():

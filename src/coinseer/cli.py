@@ -14,8 +14,9 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from datetime import date, datetime, timedelta, timezone
+from typing import Collection
 
 from . import __version__, ingest, lstm, signals, stats
 from .dataset import apply_minmax
@@ -50,9 +51,15 @@ class Config:
 
 def load_config(path: str) -> Config:
     """Read the JSON run configuration; relative paths resolve against
-    the config file's directory."""
+    the config file's directory. A file of the wrong shape raises a
+    ValueError that names it."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(raw, dict) or not isinstance(raw.get("coins", []), list):
+        raise ValueError(f"{path}: expected a JSON object with a list of coins")
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p: str) -> str:
@@ -61,17 +68,21 @@ def load_config(path: str) -> Config:
     coins = []
     seen = set()
     for i, obj in enumerate(raw.get("coins", [])):
-        try:
-            spec = CoinSpec(
-                name=obj["name"],
-                price_csv=resolve(obj["price_csv"]),
-                reddit_ndjson=resolve(obj["reddit_ndjson"]),
-                subreddit=obj["subreddit"],
-                github_ndjson=resolve(obj["github_ndjson"]),
-                repo=obj["repo"],
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path}: coin {i} missing field {exc}") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"{path}: coin {i} must be a JSON object, got {obj!r}")
+        for key in (f.name for f in fields(CoinSpec)):
+            if key not in obj:
+                raise ValueError(f"{path}: coin {i} missing field {key!r}")
+            if not isinstance(obj[key], str):
+                raise ValueError(f"{path}: coin {i} field {key!r} must be a string")
+        spec = CoinSpec(
+            name=obj["name"],
+            price_csv=resolve(obj["price_csv"]),
+            reddit_ndjson=resolve(obj["reddit_ndjson"]),
+            subreddit=obj["subreddit"],
+            github_ndjson=resolve(obj["github_ndjson"]),
+            repo=obj["repo"],
+        )
         if not _COIN_NAME_RE.match(spec.name):
             raise ValueError(
                 f"{path}: coin name {spec.name!r} must match [a-z0-9_]+"
@@ -82,18 +93,21 @@ def load_config(path: str) -> Config:
         coins.append(spec)
     if not coins:
         raise ValueError(f"{path}: no coins configured")
-    start = raw.get("start")
-    end = raw.get("end")
-    lexicon = raw.get("lexicon")
-    vocab_size = int(raw.get("vocab_size", signals.DEFAULT_VOCAB_SIZE))
+    try:
+        start, end = (None if raw.get(k) is None else date.fromisoformat(raw[k])
+                      for k in ("start", "end"))
+        vocab_size = int(raw.get("vocab_size", signals.DEFAULT_VOCAB_SIZE))
+        lexicon = None if raw.get("lexicon") is None else resolve(raw["lexicon"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if vocab_size < 1:
         raise ValueError(f"{path}: vocab_size must be positive, got {vocab_size}")
     return Config(
         coins=tuple(coins),
-        start=None if start is None else date.fromisoformat(start),
-        end=None if end is None else date.fromisoformat(end),
+        start=start,
+        end=end,
         vocab_size=vocab_size,
-        lexicon=None if lexicon is None else resolve(lexicon),
+        lexicon=lexicon,
         path=path,
     )
 
@@ -143,14 +157,23 @@ def _common_range(series: list[ingest.PriceSeries], cfg: Config) -> tuple[date, 
     return start, end
 
 
-def build_bundle(cfg: Config) -> tuple[harness_grid.DataBundle, list[str]]:
-    """Load, align, and extract signals for every configured coin."""
+def build_bundle(
+    cfg: Config, families: Collection[str], vocabulary: signals.Vocabulary | None = None
+) -> tuple[harness_grid.DataBundle, list[str]]:
+    """Load and align every configured coin and extract ``families``,
+    reading a coin's Reddit or GitHub archive only when one of them reads
+    it. r_lang reads ``vocabulary``, or one built from each coin's
+    comments when none is given. Also returns one summary line per coin,
+    with a count for each archive read."""
+    reads = {signals.FAMILIES[f].archive for f in families}
     lexicon = _load_lexicon(cfg.lexicon)
     raw = []
     for spec in cfg.coins:
         price = ingest.load_price_series(spec.price_csv, spec.name)
-        comments = ingest.load_reddit_comments(spec.reddit_ndjson, spec.subreddit)
-        events = ingest.load_github_events(spec.github_ndjson, spec.repo)
+        comments = (ingest.load_reddit_comments(spec.reddit_ndjson, spec.subreddit)
+                    if "reddit" in reads else [])
+        events = (ingest.load_github_events(spec.github_ndjson, spec.repo)
+                  if "github" in reads else [])
         raw.append((spec, price, comments, events))
     start, end = _common_range([p for _, p, _, _ in raw], cfg)
     coins: dict[str, harness_grid.CoinData] = {}
@@ -158,13 +181,13 @@ def build_bundle(cfg: Config) -> tuple[harness_grid.DataBundle, list[str]]:
     for spec, price, comments, events in raw:
         aligned, fills = ingest.align_calendar(price, start, end)
         coins[spec.name] = harness_grid.assemble_coin(
-            aligned, comments, events, lexicon, cfg.vocab_size
+            aligned, comments, events, lexicon, families, cfg.vocab_size, vocabulary
         )
-        lines.append(
-            f"{spec.name}: {len(aligned)} days {start}..{end} "
-            f"({fills} forward-filled), {len(comments)} comments, "
-            f"{len(events)} events"
-        )
+        counts = [f"{len(comments)} comments"] * ("reddit" in reads)
+        counts += [f"{len(events)} events"] * ("github" in reads)
+        lines.append(", ".join(
+            [f"{spec.name}: {len(aligned)} days {start}..{end} ({fills} forward-filled)", *counts]
+        ))
     return harness_grid.DataBundle(coins=coins), lines
 
 
@@ -215,39 +238,35 @@ def _family_list(text: str) -> tuple[str, ...]:
     return signals.parse_families(part.strip() for part in text.split(",") if part.strip())
 
 
-def _signal_subsets(
-    keyword: str, available: tuple[str, ...]
-) -> list[tuple[str, ...]]:
+def _signal_subsets(keyword: str) -> list[tuple[str, ...]]:
     """--signals value to LSTM subset list.
 
     'benchmark' is the fixed headline comparison, 'all' the powerset of
-    the available families, 'none' price-only, and a comma list of
-    families the powerset of those.
+    every family, 'none' price-only, and a comma list of families the
+    powerset of those.
     """
     if keyword == "benchmark":
-        subsets = list(harness_grid.BENCHMARK_SUBSETS)
-        families = {f for subset in subsets for f in subset}
-    else:
-        families = available if keyword == "all" else _family_list(keyword)
-        subsets = signals.family_powerset(families)
-    missing = signals.parse_families(set(families) - set(available))
-    if missing:
-        raise ValueError(f"signal families unavailable for this data: {', '.join(missing)}")
-    return subsets
+        return list(harness_grid.BENCHMARK_SUBSETS)
+    return signals.family_powerset(signals.FAMILIES if keyword == "all" else _family_list(keyword))
 
 
-def _available_families(bundle: harness_grid.DataBundle) -> tuple[str, ...]:
-    return signals.parse_families(
-        set.intersection(*(set(cd.signals) for cd in bundle.coins.values()))
-    )
-
-
-def _bundle_for(args: argparse.Namespace, seed: int) -> harness_grid.DataBundle:
-    if getattr(args, "synthetic", False):
-        return harness_synth.synthetic_bundle(seed, args.days, args.coins)
+def _source(args: argparse.Namespace) -> tuple[Config | None, tuple[str, ...]]:
+    """The run's config (None with --synthetic) and its coin names,
+    checked before any data is read."""
+    if args.synthetic:
+        return None, harness_synth.synthetic_coin_names(args.coins, args.days)
     if not args.config:
         raise ValueError("either --config or --synthetic is required")
-    bundle, lines = build_bundle(load_config(args.config))
+    cfg = load_config(args.config)
+    return cfg, tuple(spec.name for spec in cfg.coins)
+
+
+def _bundle_for(
+    args: argparse.Namespace, seed: int, cfg: Config | None, families: tuple[str, ...]
+) -> harness_grid.DataBundle:
+    if cfg is None:
+        return harness_synth.synthetic_bundle(seed, args.days, args.coins, families)
+    bundle, lines = build_bundle(cfg, families)
     for line in lines:
         print(line, file=sys.stderr)
     return bundle
@@ -255,8 +274,8 @@ def _bundle_for(args: argparse.Namespace, seed: int) -> harness_grid.DataBundle:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
+    names = harness_synth.synthetic_coin_names(args.coins, args.days)
     os.makedirs(args.out, exist_ok=True)
-    names = harness_synth.SYNTH_COIN_NAMES[: args.coins]
     config_coins = []
     for name in names:
         price, comments, events = harness_synth.generate_synthetic_coin(
@@ -311,7 +330,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    _, lines = build_bundle(load_config(args.config))
+    _, lines = build_bundle(load_config(args.config), signals.FAMILIES)
     for line in lines:
         print(line)
     return 0
@@ -319,7 +338,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_signals(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    bundle, _ = build_bundle(cfg)
+    bundle, _ = build_bundle(cfg, signals.FAMILIES)
     os.makedirs(args.out, exist_ok=True)
     for name, cd in bundle.coins.items():
         for family, matrix in cd.signals.items():
@@ -333,7 +352,7 @@ def cmd_signals(args: argparse.Namespace) -> int:
 def cmd_correlate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     started = time.perf_counter()
-    bundle, _ = build_bundle(cfg)
+    bundle, _ = build_bundle(cfg, signals.FAMILIES)
     log.debug("bundle built in %.3fs", time.perf_counter() - started)
     os.makedirs(args.out, exist_ok=True)
     for name, cd in bundle.coins.items():
@@ -372,11 +391,12 @@ def _run_options(args: argparse.Namespace, seed: int, k_max: int, j_max: int) ->
 def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     options = _run_options(args, seed, k_max=args.k, j_max=args.j)
-    bundle = _bundle_for(args, seed)
-    coin = args.coin or next(iter(bundle.coins))
-    if coin not in bundle.coins:
-        raise ValueError(f"unknown coin {coin!r}")
     subset = _family_list(args.signal_set)
+    source, names = _source(args)
+    coin = args.coin or names[0]
+    if coin not in names:
+        raise ValueError(f"unknown coin {coin!r}")
+    bundle = _bundle_for(args, seed, source, subset)
     cfg = harness_grid.ExperimentConfig(coin, "lstm", subset, args.k, args.j)
     result, model = harness_grid.train_lstm_experiment(cfg, bundle, options)
     os.makedirs(args.out, exist_ok=True)
@@ -411,24 +431,12 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     if model.k < 1 or model.j < 1:
         raise ValueError(f"{args.model}: model lacks window metadata")
     cfg = load_config(args.config)
-    lexicon = _load_lexicon(cfg.lexicon)
-    spec = None
-    for candidate in cfg.coins:
-        if args.coin is None or candidate.name == args.coin:
-            spec = candidate
-            break
+    spec = next((c for c in cfg.coins if args.coin in (None, c.name)), None)
     if spec is None:
         raise ValueError(f"coin {args.coin!r} not in {cfg.path}")
-    price = ingest.load_price_series(spec.price_csv, spec.name)
-    start = cfg.start or price.dates[0]
-    end = cfg.end or price.dates[-1]
-    aligned, _ = ingest.align_calendar(price, start, end)
-    reads = {signals.FAMILIES[f].archive for f in signals.families_of_columns(model.norm.columns)[0]}
-    comments = ingest.load_reddit_comments(spec.reddit_ndjson, spec.subreddit) if "reddit" in reads else []
-    events = ingest.load_github_events(spec.github_ndjson, spec.repo) if "github" in reads else []
-    matrix = _matrix_for_columns(
-        model.norm.columns, aligned, comments, events, lexicon
-    )
+    families, vocabulary = signals.families_of_columns(model.norm.columns)
+    bundle, _ = build_bundle(replace(cfg, coins=(spec,)), families, vocabulary)
+    matrix = _matrix_for_columns(model.norm.columns, bundle.coins[spec.name])
     if len(matrix.dates) < model.k:
         raise ValueError(
             f"need at least {model.k} aligned days, have {len(matrix.dates)}"
@@ -460,19 +468,11 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def _matrix_for_columns(
-    columns: tuple[str, ...],
-    price: ingest.PriceSeries,
-    comments: list[ingest.CommentRecord],
-    events: list[ingest.EventRecord],
-    lexicon: signals.SentimentLexicon,
+    columns: tuple[str, ...], coin: harness_grid.CoinData
 ) -> signals.SignalMatrix:
-    """Rebuild the exact feature matrix a stored model was trained on,
-    deriving the signal families (and language vocabulary) from the
-    stored column names."""
-    families, vocabulary = signals.families_of_columns(columns)
-    table = signals.comment_table(comments, price.dates, lexicon)
-    extracted = signals.extract_families(families, table, events, vocabulary)
-    matrix = signals.concat_signals([signals.price_high_signal(price), *extracted.values()])
+    """The feature matrix a stored model was trained on: the price high
+    joined to the coin's families, which must give the model's columns."""
+    matrix = signals.concat_signals([signals.price_high_signal(coin.price), *coin.signals.values()])
     if matrix.columns != columns:
         raise ValueError(
             "rebuilt signal columns do not match the model's training columns"
@@ -492,11 +492,18 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     options = _run_options(args, seed, k_max=max(args.k), j_max=max(args.j))
     if args.jobs is not None and args.jobs < 1:
         raise ValueError("jobs must be positive")
-    bundle = _bundle_for(args, seed)
-    available = _available_families(bundle)
-    subsets = _signal_subsets(args.signals, available)
+    subsets = _signal_subsets(args.signals)
+    families = signals.parse_families({f for s in subsets for f in s})
+    source, _ = _source(args)
+    bundle = _bundle_for(args, seed, source, families)
+    available = set.intersection(*(set(cd.signals) for cd in bundle.coins.values()))
+    if args.signals == "all":  # the powerset of the families the data has
+        subsets = [s for s in subsets if available.issuperset(s)]
+    elif not available.issuperset(families):
+        missing = ", ".join(signals.parse_families(set(families) - available))
+        raise ValueError(f"signal families unavailable for this data: {missing}")
     configs = harness_grid.enumerate_grid(
-        list(bundle.coins), available, args.k, args.j, subsets
+        list(bundle.coins), signals.parse_families(available), args.k, args.j, subsets
     )
     total = len(configs)
 

@@ -9,13 +9,13 @@ import hashlib
 import logging
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
 from .. import arima, dataset, lstm, metrics, signals
 from ..ingest import CommentRecord, EventRecord, PriceSeries
-from ..signals import PRICE_COLUMN, SentimentLexicon, SignalMatrix
+from ..signals import PRICE_COLUMN, SentimentLexicon, SignalMatrix, Vocabulary
 
 log = logging.getLogger(__name__)
 
@@ -142,20 +142,23 @@ def assemble_coin(
     comments: Sequence[CommentRecord],
     events: Sequence[EventRecord],
     lexicon: SentimentLexicon,
+    families: Collection[str] = signals.FAMILIES,
     vocab_size: int = signals.DEFAULT_VOCAB_SIZE,
+    vocabulary: Vocabulary | None = None,
 ) -> CoinData:
-    """Extract every signal family on the price calendar.
+    """Extract the signal ``families`` on the price calendar.
 
-    The language family is skipped (with a log line) when no comment has
-    a token, since no vocabulary can be built.
+    r_lang reads ``vocabulary``, or, when none is given, one of
+    ``vocab_size`` tokens built from the comments; it is skipped (with a
+    log line) when no comment has a token, since then none can be built.
     """
     table = signals.comment_table(comments, price.dates, lexicon)
-    if table.tokens:
-        vocabulary = signals.build_vocabulary(table, vocab_size)
-    else:
-        log.warning("%s: empty comment corpus, language signal unavailable", price.coin)
-        vocabulary = None
-    extracted = signals.extract_families(signals.FAMILIES, table, events, vocabulary)
+    if "r_lang" in families and vocabulary is None:
+        if table.tokens:
+            vocabulary = signals.build_vocabulary(table, vocab_size)
+        else:
+            log.warning("%s: empty comment corpus, language signal unavailable", price.coin)
+    extracted = signals.extract_families(families, table, events, vocabulary)
     return CoinData(price=price, signals=extracted)
 
 

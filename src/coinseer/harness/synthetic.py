@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import math
 from datetime import date, datetime, time, timedelta, timezone
+from typing import Collection
 
 import numpy as np
 
 from ..ingest import EVENT_TYPES, CommentRecord, EventRecord, PriceSeries, daily_calendar
-from ..signals import bundled_lexicon
+from ..signals import FAMILIES, bundled_lexicon
 from .grid import CoinData, DataBundle, assemble_coin, derive_seed
 
 SYNTH_COIN_NAMES = (
@@ -56,6 +57,11 @@ def _day_epoch(day: date) -> int:
     return int(datetime.combine(day, time(), tzinfo=timezone.utc).timestamp())
 
 
+def _check_days(days: int) -> None:
+    if days < 30:
+        raise ValueError(f"need at least 30 days, got {days}")
+
+
 def generate_synthetic_coin(
     name: str, seed: int, days: int, start: date = SYNTH_START
 ) -> tuple[PriceSeries, list[CommentRecord], list[EventRecord]]:
@@ -68,8 +74,7 @@ def generate_synthetic_coin(
     every extracted signal family varies and the popularity signals
     correlate positively with price.
     """
-    if days < 30:
-        raise ValueError(f"need at least 30 days, got {days}")
+    _check_days(days)
     rng = np.random.default_rng(seed)
     calendar = daily_calendar(start, start + timedelta(days=days - 1))
 
@@ -144,19 +149,31 @@ def generate_synthetic_coin(
     return price, comments, events
 
 
+def synthetic_coin_names(n_coins: int, days: int) -> tuple[str, ...]:
+    """The names of ``n_coins`` synthetic coins, after checking that that
+    many coins of ``days`` days can be generated."""
+    if not 1 <= n_coins <= len(SYNTH_COIN_NAMES):
+        raise ValueError(
+            f"synthetic coin count must lie in [1, {len(SYNTH_COIN_NAMES)}], got {n_coins}"
+        )
+    _check_days(days)
+    return SYNTH_COIN_NAMES[:n_coins]
+
+
 def synthetic_bundle(
     master_seed: int,
     days: int,
     n_coins: int = 2,
+    families: Collection[str] = FAMILIES,
 ) -> DataBundle:
-    """A ready-to-run bundle of synthetic coins on one shared calendar."""
-    if not 1 <= n_coins <= len(SYNTH_COIN_NAMES):
-        raise ValueError(f"n_coins must lie in [1, {len(SYNTH_COIN_NAMES)}]")
+    """A ready-to-run bundle of synthetic coins on one shared calendar,
+    with the signal ``families`` extracted."""
+    names = synthetic_coin_names(n_coins, days)
     lexicon = bundled_lexicon()
     coins: dict[str, CoinData] = {}
-    for name in SYNTH_COIN_NAMES[:n_coins]:
+    for name in names:
         price, comments, events = generate_synthetic_coin(
             name, derive_seed(master_seed, "synth", name), days
         )
-        coins[name] = assemble_coin(price, comments, events, lexicon)
+        coins[name] = assemble_coin(price, comments, events, lexicon, families)
     return DataBundle(coins=coins)

@@ -287,6 +287,12 @@ def backward(
     return grads
 
 
+#: Adam's moment decay rates and denominator offset (Kingma & Ba 2015).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int = 0
@@ -294,9 +300,6 @@ class TrainConfig:
     learning_rate: float = 0.001
     max_epochs: int = 20
     patience: int | None = 2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -307,8 +310,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be positive")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be positive or None")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("betas must lie in [0, 1)")
 
 
 @dataclass
@@ -346,8 +347,8 @@ def adam_step(
     then runs as in-place ufuncs over chunks of ``_CHUNK`` elements with
     two chunk-sized scratch arrays, doing the same operations in the same
     order as the whole-array expressions
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``, so results are bitwise
+    ``m = BETA1*m + (1-BETA1)*g``, ``v = BETA2*v + (1-BETA2)*g*g`` and
+    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + EPS)``, so results are bitwise
     equal to them. All arrays must be C-contiguous.
     """
     if t < 1:
@@ -361,9 +362,8 @@ def adam_step(
         if not finite.all():
             raise NonFiniteGradient(key, int(np.argmin(finite.reshape(-1))))
         arrays.append([a.reshape(-1) for a in quad])
-    b1, b2 = config.beta1, config.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
     scratch1 = np.empty(_CHUNK)
     scratch2 = np.empty(_CHUNK)
     for p, g, m, v in arrays:
@@ -372,18 +372,18 @@ def adam_step(
             pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
             s1 = scratch1[: hi - lo]
             s2 = scratch2[: hi - lo]
-            np.multiply(gc, 1.0 - b1, out=s1)
-            mc *= b1
+            np.multiply(gc, 1.0 - BETA1, out=s1)
+            mc *= BETA1
             mc += s1
             np.multiply(gc, gc, out=s1)
-            s1 *= 1.0 - b2
-            vc *= b2
+            s1 *= 1.0 - BETA2
+            vc *= BETA2
             vc += s1
             np.divide(mc, bc1, out=s1)
             s1 *= config.learning_rate
             np.divide(vc, bc2, out=s2)
             np.sqrt(s2, out=s2)
-            s2 += config.eps
+            s2 += EPS
             s1 /= s2
             pc -= s1
     return params, state

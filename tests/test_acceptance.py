@@ -4,6 +4,7 @@ bitwise determinism. Each check prints one PASS/FAIL line on the
 real stdout so the verdict survives output capture."""
 
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -236,7 +237,7 @@ def test_signal_extraction_invariants(tmp_path, capfd):
         src = tmp_path / "arch"
         assert cli.main(["synth", "--out", str(src), "--days", "45",
                         "--coins", "1", "--seed", "21"]) == 0
-        bundle, _ = cli.build_bundle(cli.load_config(str(src / "config.json")))
+        bundle, _ = cli.build_bundle(cli.load_config(str(src / "config.json")), signals.FAMILIES)
         cd = bundle.coins["alphacoin"]
 
         lang = cd.signals["r_lang"].values
@@ -267,7 +268,7 @@ def test_signal_extraction_invariants(tmp_path, capfd):
             lines = (shuffled / name).read_text().splitlines()
             order = rng.permutation(len(lines))
             (shuffled / name).write_text("\n".join(lines[i] for i in order) + "\n")
-        bundle2, _ = cli.build_bundle(cli.load_config(str(shuffled / "config.json")))
+        bundle2, _ = cli.build_bundle(cli.load_config(str(shuffled / "config.json")), signals.FAMILIES)
         cd2 = bundle2.coins["alphacoin"]
         for family in cd.signals:
             assert cd.signals[family].columns == cd2.signals[family].columns
@@ -281,7 +282,10 @@ PINNED_ABLATION = ["ablate", "--synthetic", "--days", "600",
 def run_cli(argv, timeout):
     exe = shutil.which("coinseer")
     cmd = [exe] + argv if exe else [sys.executable, "-m", "coinseer.cli"] + argv
-    return subprocess.run(cmd, capture_output=True, text=True, timeout=timeout)
+    env = dict(os.environ)
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def load_results_grouped(path):

@@ -1,5 +1,6 @@
 """Command line workflows: synth, ingest, signals, train, forecast, ablate."""
 
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 
 from coinseer import cli, ingest, signals
 from coinseer.harness import grid
+from coinseer.harness import report as harness_report
 from oracles import read_signal_csv
 
 
@@ -67,6 +69,16 @@ def test_load_config_validation(tmp_path):
     path.write_text(json.dumps({"coins": [missing]}))
     with pytest.raises(ValueError, match="missing field"):
         cli.load_config(str(path))
+
+    for raw, message in (
+        ({"coins": ["x"]}, "coin 0 must be a JSON object"),
+        ([1], "expected a JSON object"),
+        ({"coins": [dict(coin, price_csv=5)]}, "coin 0 field 'price_csv' must be a string"),
+    ):
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=message) as exc:
+            cli.load_config(str(path))
+        assert str(exc.value).startswith(f"{path}: ")
 
     path.write_text(json.dumps({"coins": [coin], "vocab_size": 0}))
     with pytest.raises(ValueError, match="vocab_size must be positive, got 0"):
@@ -128,6 +140,32 @@ def test_bad_jobs_fail_before_any_data_is_read(tmp_path, capsys, monkeypatch):
     test_bad_run_settings_fail_before_any_data_is_read(
         tmp_path, capsys, monkeypatch, "ablate", "--jobs", "0", "jobs must be positive"
     )
+
+
+@pytest.mark.parametrize("command, knob, value, message", [
+    ("train", "--coin", "nope", "unknown coin 'nope'"),
+    ("train", "--signal-set", "bogus", "unknown signal families: bogus"),
+    ("ablate", "--signals", "bogus", "unknown signal families: bogus"),
+])
+def test_bad_coins_and_families_fail_before_any_data_is_read(
+    tmp_path, capsys, monkeypatch, command, knob, value, message
+):
+    test_bad_run_settings_fail_before_any_data_is_read(
+        tmp_path, capsys, monkeypatch, command, knob, value, message
+    )
+
+
+@pytest.mark.parametrize("knob, value, message", [
+    ("--coins", "9", "synthetic coin count must lie in [1, 8], got 9"),
+    ("--coins", "-1", "synthetic coin count must lie in [1, 8], got -1"),
+    ("--coins", "0", "synthetic coin count must lie in [1, 8], got 0"),
+    ("--days", "10", "need at least 30 days, got 10"),
+])
+def test_synth_checks_its_size_before_writing(tmp_path, capsys, knob, value, message):
+    out = tmp_path / "synth"
+    assert run(["synth", "--out", str(out), knob, value]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
 
 
 def test_synth_writes_complete_archive(tmp_path, capsys):
@@ -295,6 +333,49 @@ def test_forecast_reads_only_the_archives_its_families_read(tmp_path, capsys, mo
     assert json.loads(before["price"])["coin"] == "alphacoin"
 
 
+def test_commands_read_only_the_archives_their_families_read(tmp_path, capsys, monkeypatch):
+    src = synth_dir(tmp_path, days=40)
+    config = str(src / "config.json")
+    train = ["train", "--config", config, "--k", "2", "--j", "1", "--sizes", "4",
+             "--epochs", "2", "--seed", "3"]
+    ablate = ["ablate", "--config", config, "--signals", "r_vol", "--k", "1", "--j", "1",
+              "--sizes", "4", "--epochs", "2", "--seed", "3", "--jobs", "1"]
+
+    def unread(path, *args):
+        raise AssertionError(f"read {path}")
+
+    def model_digest(out):
+        (model,) = out.glob("model_*.bin")
+        return hashlib.sha256(model.read_bytes()).hexdigest()
+
+    with monkeypatch.context() as m:
+        m.setattr(ingest, "load_github_events", unread)
+        assert run(train + ["--signal-set", "r_vol", "--out", str(tmp_path / "r_vol")]) == 0
+        assert run(ablate + ["--out", str(tmp_path / "ablate_r_vol")]) == 0
+        m.setattr(ingest, "load_reddit_comments", unread)
+        assert run(train + ["--signal-set", "price", "--out", str(tmp_path / "price")]) == 0
+    comments = len((src / "reddit_alphacoin.ndjson").read_text().splitlines())
+    head = "alphacoin: 40 days 2020-01-01..2020-02-09 (0 forward-filled)"
+    summaries = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("alphacoin:")]
+    assert summaries == [f"{head}, {comments} comments"] * 2 + [head]
+
+    # the same bytes as from a bundle with every family extracted
+    build_bundle = cli.build_bundle
+    monkeypatch.setattr(cli, "build_bundle",
+                        lambda cfg, families, vocabulary=None:
+                        build_bundle(cfg, signals.FAMILIES, vocabulary))
+    for signal_set in ("r_vol", "price"):
+        out = tmp_path / f"all_{signal_set}"
+        assert run(train + ["--signal-set", signal_set, "--out", str(out)]) == 0
+        assert model_digest(out) == model_digest(tmp_path / signal_set), signal_set
+    assert run(ablate + ["--out", str(tmp_path / "ablate_all")]) == 0
+    for name in ("results.json", "ranking.csv", "metrics.csv"):
+        assert ((tmp_path / "ablate_all" / name).read_bytes()
+                == (tmp_path / "ablate_r_vol" / name).read_bytes()), name
+    capsys.readouterr()
+
+
 def test_verbose_logs_training_to_stderr_only(tmp_path):
     out = tmp_path / "trained"
     env = dict(os.environ)
@@ -429,6 +510,27 @@ def test_ablate_bytes_do_not_depend_on_jobs_or_blas_threads(tmp_path, capsys):
     assert len(serial) == 15
     for name in ("jobs2", "blas1", "blas2"):
         assert files(name) == serial, name
+
+
+def test_ablate_all_runs_the_families_the_data_has(tmp_path, capsys):
+    src = synth_dir(tmp_path, days=40)
+    config = json.loads((src / "config.json").read_text())
+    empty = tmp_path / "no_comments.ndjson"
+    empty.write_text("")
+    config["coins"][0]["reddit_ndjson"] = str(empty)
+    quiet = src / "quiet.json"
+    quiet.write_text(json.dumps(config))
+    argv = ["ablate", "--config", str(quiet), "--k", "1", "--j", "1", "--sizes", "4",
+            "--epochs", "1", "--seed", "3", "--jobs", "1"]
+    out = tmp_path / "lang"
+    assert run(argv + ["--signals", "gh_pop,r_lang", "--out", str(out)]) == 2
+    assert "signal families unavailable for this data: r_lang" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(argv + ["--signals", "all", "--out", str(tmp_path / "all")]) == 0
+    results = harness_report.load_results(str(tmp_path / "all" / "results.json"))
+    lstm_sets = [r.config.signal_set for r in results if r.config.model_kind == "lstm"]
+    assert lstm_sets == signals.family_powerset(set(signals.FAMILIES) - {"r_lang"})
+    capsys.readouterr()
 
 
 def test_ablate_requires_a_source(capsys):

@@ -162,9 +162,8 @@ def build_bundle(
 ) -> tuple[harness_grid.DataBundle, list[str]]:
     """Load and align every configured coin and extract ``families``,
     reading a coin's Reddit or GitHub archive only when one of them reads
-    it. r_lang reads ``vocabulary``, or one built from each coin's
-    comments when none is given. Also returns one summary line per coin,
-    with a count for each archive read."""
+    it; r_lang reads ``vocabulary``, else one built from the comments.
+    Also returns one summary line per coin, counting what was read."""
     reads = {signals.FAMILIES[f].archive for f in families}
     lexicon = _load_lexicon(cfg.lexicon)
     raw = []
@@ -183,11 +182,12 @@ def build_bundle(
         coins[spec.name] = harness_grid.assemble_coin(
             aligned, comments, events, lexicon, families, cfg.vocab_size, vocabulary
         )
-        counts = [f"{len(comments)} comments"] * ("reddit" in reads)
-        counts += [f"{len(events)} events"] * ("github" in reads)
-        lines.append(", ".join(
-            [f"{spec.name}: {len(aligned)} days {start}..{end} ({fills} forward-filled)", *counts]
-        ))
+        line = f"{spec.name}: {len(aligned)} days {start}..{end} ({fills} forward-filled)"
+        if "reddit" in reads:
+            line += f", {len(comments)} comments"
+        if "github" in reads:
+            line += f", {len(events)} events"
+        lines.append(line)
     return harness_grid.DataBundle(coins=coins), lines
 
 

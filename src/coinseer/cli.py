@@ -96,10 +96,14 @@ def load_config(path: str) -> Config:
     try:
         start, end = (None if raw.get(k) is None else date.fromisoformat(raw[k])
                       for k in ("start", "end"))
-        vocab_size = int(raw.get("vocab_size", signals.DEFAULT_VOCAB_SIZE))
         lexicon = None if raw.get("lexicon") is None else resolve(raw["lexicon"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if start is not None and end is not None and start > end:
+        raise ValueError(f"{path}: start {start} is after end {end}")
+    vocab_size = raw.get("vocab_size", signals.DEFAULT_VOCAB_SIZE)
+    if type(vocab_size) is not int:  # bool is an int subclass, and JSON true is not a size
+        raise ValueError(f"{path}: vocab_size must be an integer, got {vocab_size!r}")
     if vocab_size < 1:
         raise ValueError(f"{path}: vocab_size must be positive, got {vocab_size}")
     return Config(
@@ -149,44 +153,41 @@ def _load_lexicon(path: str | None) -> signals.SentimentLexicon:
     return signals.bundled_lexicon() if path is None else signals.load_lexicon(path)
 
 
-def _common_range(series: list[ingest.PriceSeries], cfg: Config) -> tuple[date, date]:
+def _load_prices(cfg: Config) -> tuple[list[ingest.PriceSeries], date, date]:
+    """Every configured coin's price series and the date range they share."""
+    series = [ingest.load_price_series(spec.price_csv, spec.name) for spec in cfg.coins]
     start = cfg.start or max(s.dates[0] for s in series)
     end = cfg.end or min(s.dates[-1] for s in series)
     if start > end:
         raise ValueError("coins share no common date range")
-    return start, end
+    return series, start, end
 
 
 def build_bundle(
     cfg: Config, families: Collection[str], vocabulary: signals.Vocabulary | None = None
 ) -> tuple[harness_grid.DataBundle, list[str]]:
-    """Load and align every configured coin and extract ``families``,
-    reading a coin's Reddit or GitHub archive only when one of them reads
-    it; r_lang reads ``vocabulary``, else one built from the comments.
-    Also returns one summary line per coin, counting what was read."""
+    """Align every configured coin's prices to their common range before
+    any archive is read; then, coin by coin, read only the archives that
+    ``families`` read and extract them (r_lang from ``vocabulary``, else the
+    comments'). Also returns one summary line per coin, of what was read."""
     reads = {signals.FAMILIES[f].archive for f in families}
     lexicon = _load_lexicon(cfg.lexicon)
-    raw = []
-    for spec in cfg.coins:
-        price = ingest.load_price_series(spec.price_csv, spec.name)
-        comments = (ingest.load_reddit_comments(spec.reddit_ndjson, spec.subreddit)
-                    if "reddit" in reads else [])
-        events = (ingest.load_github_events(spec.github_ndjson, spec.repo)
-                  if "github" in reads else [])
-        raw.append((spec, price, comments, events))
-    start, end = _common_range([p for _, p, _, _ in raw], cfg)
+    series, start, end = _load_prices(cfg)
+    aligned = [ingest.align_calendar(price, start, end) for price in series]
     coins: dict[str, harness_grid.CoinData] = {}
     lines = []
-    for spec, price, comments, events in raw:
-        aligned, fills = ingest.align_calendar(price, start, end)
-        coins[spec.name] = harness_grid.assemble_coin(
-            aligned, comments, events, lexicon, families, cfg.vocab_size, vocabulary
-        )
-        line = f"{spec.name}: {len(aligned)} days {start}..{end} ({fills} forward-filled)"
+    for spec, (price, fills) in zip(cfg.coins, aligned):
+        comments = events = ()  # also drops the previous coin's records
+        line = f"{spec.name}: {len(price)} days {start}..{end} ({fills} forward-filled)"
         if "reddit" in reads:
+            comments = ingest.load_reddit_comments(spec.reddit_ndjson, spec.subreddit)
             line += f", {len(comments)} comments"
         if "github" in reads:
+            events = ingest.load_github_events(spec.github_ndjson, spec.repo)
             line += f", {len(events)} events"
+        coins[spec.name] = harness_grid.assemble_coin(
+            price, comments, events, lexicon, families, cfg.vocab_size, vocabulary
+        )
         lines.append(line)
     return harness_grid.DataBundle(coins=coins), lines
 
@@ -396,6 +397,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     coin = args.coin or names[0]
     if coin not in names:
         raise ValueError(f"unknown coin {coin!r}")
+    if source is not None and len(source.coins) > 1:
+        # the other coins only settle the common date range
+        _, start, end = _load_prices(source)
+        spec = next(c for c in source.coins if c.name == coin)
+        source = replace(source, coins=(spec,), start=start, end=end)
     bundle = _bundle_for(args, seed, source, subset)
     cfg = harness_grid.ExperimentConfig(coin, "lstm", subset, args.k, args.j)
     result, model = harness_grid.train_lstm_experiment(cfg, bundle, options)
@@ -502,9 +508,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     elif not available.issuperset(families):
         missing = ", ".join(signals.parse_families(set(families) - available))
         raise ValueError(f"signal families unavailable for this data: {missing}")
-    configs = harness_grid.enumerate_grid(
-        list(bundle.coins), signals.parse_families(available), args.k, args.j, subsets
-    )
+    configs = harness_grid.enumerate_grid(list(bundle.coins), args.k, args.j, subsets)
     total = len(configs)
 
     def progress(result: harness_grid.ExperimentResult) -> None:

@@ -83,27 +83,22 @@ def derive_seed(master_seed: int, *labels: str) -> int:
 
 def enumerate_grid(
     coins: Sequence[str],
-    available: Sequence[str],
     k_range: Sequence[int],
     j_range: Sequence[int],
-    subsets: Sequence[Sequence[str]] | None = None,
+    subsets: Sequence[Sequence[str]],
 ) -> list[ExperimentConfig]:
     """Every experiment of one run, in deterministic order.
 
-    Per coin: the ARIMA baseline per j, then each LSTM signal subset
-    crossed with k_range and j_range. Subsets default to the full
-    powerset of ``available``, enumerated in bitmask order over the
-    canonical order.
+    Per coin: the ARIMA baseline per j, then each LSTM signal subset, in
+    the order given, crossed with k_range and j_range.
     """
-    signals.parse_families(available)
     if not coins:
         raise ValueError("no coins")
     if not k_range or any(k < 1 for k in k_range):
         raise ValueError("k_range must be nonempty positive")
     if not j_range or any(j < 1 for j in j_range):
         raise ValueError("j_range must be nonempty positive")
-    chosen = signals.family_powerset(available) if subsets is None else subsets
-    canonical = [signals.parse_families(subset) for subset in chosen]
+    canonical = [signals.parse_families(subset) for subset in subsets]
     configs: list[ExperimentConfig] = []
     for coin in coins:
         for j in j_range:
@@ -146,19 +141,13 @@ def assemble_coin(
     vocab_size: int = signals.DEFAULT_VOCAB_SIZE,
     vocabulary: Vocabulary | None = None,
 ) -> CoinData:
-    """Extract the signal ``families`` on the price calendar.
-
-    r_lang reads ``vocabulary``, or, when none is given, one of
-    ``vocab_size`` tokens built from the comments; it is skipped (with a
-    log line) when no comment has a token, since then none can be built.
-    """
-    table = signals.comment_table(comments, price.dates, lexicon)
-    if "r_lang" in families and vocabulary is None:
-        if table.tokens:
-            vocabulary = signals.build_vocabulary(table, vocab_size)
-        else:
-            log.warning("%s: empty comment corpus, language signal unavailable", price.coin)
-    extracted = signals.extract_families(families, table, events, vocabulary)
+    """Extract the signal ``families`` on the price calendar, as
+    signals.extract_families does, logging a wanted r_lang left out."""
+    extracted = signals.extract_families(
+        families, price.dates, comments, events, lexicon, vocab_size, vocabulary
+    )
+    if "r_lang" in families and "r_lang" not in extracted:
+        log.warning("%s: empty comment corpus, language signal unavailable", price.coin)
     return CoinData(price=price, signals=extracted)
 
 

@@ -291,14 +291,14 @@ def reddit_sentiment_signal(comments: CommentTable) -> SignalMatrix:
 class Family:
     """A signal family: name, display label, the archive it reads
     ("reddit" or "github"), column names given the language vocabulary,
-    and extractor. The extractor reads the sources that extract_families
-    gathers and gives None when it cannot extract."""
+    and extractor, which calls the sources that extract_families builds
+    on first use."""
 
     name: str
     label: str
     archive: str
     columns: Callable[[Vocabulary | None], tuple[str, ...]]
-    extract: Callable[[SimpleNamespace], SignalMatrix | None]
+    extract: Callable[[SimpleNamespace], SignalMatrix]
 
 
 def _language_columns(vocabulary: Vocabulary | None) -> tuple[str, ...]:
@@ -313,14 +313,13 @@ FAMILIES: Mapping[str, Family] = {
                lambda s: github_popularity_signal(s.gh_all())),
         Family("gh_all", "GH_All", "github", lambda v: _GH_ALL_COLUMNS, lambda s: s.gh_all()),
         Family("r_vol", "R_Vol", "reddit", lambda v: _R_VOL_COLUMNS,
-               lambda s: reddit_volume_signal(s.comments)),
+               lambda s: reddit_volume_signal(s.comments())),
         Family("r_lang", "R_Lang", "reddit", _language_columns,
-               lambda s: None if s.vocabulary is None
-               else reddit_language_signal(s.comments, s.vocabulary)),
+               lambda s: reddit_language_signal(s.comments(), s.vocabulary())),
         Family("r_score", "R_Score", "reddit", lambda v: _R_SCORE_COLUMNS,
-               lambda s: reddit_score_signal(s.comments)),
+               lambda s: reddit_score_signal(s.comments())),
         Family("r_sent", "R_Sent", "reddit", lambda v: _R_SENT_COLUMNS,
-               lambda s: reddit_sentiment_signal(s.comments)),
+               lambda s: reddit_sentiment_signal(s.comments())),
     )
 }
 
@@ -346,19 +345,26 @@ def family_powerset(names: Iterable[str]) -> list[tuple[str, ...]]:
 
 def extract_families(
     names: Iterable[str],
-    comments: CommentTable,
+    calendar: Sequence[date],
+    comments: Sequence[CommentRecord],
     events: Sequence[EventRecord],
-    vocabulary: Vocabulary | None,
+    lexicon: SentimentLexicon,
+    vocab_size: int = DEFAULT_VOCAB_SIZE,
+    vocabulary: Vocabulary | None = None,
 ) -> dict[str, SignalMatrix]:
-    """The named families on the comment table's calendar, in canonical
-    order. r_lang is left out when there is no vocabulary."""
+    """The named families on ``calendar``, in canonical order, each source
+    built the first time a family reads it. r_lang reads ``vocabulary``,
+    else the corpus's top ``vocab_size`` tokens; with neither (no comment
+    has a token) it is left out."""
+    table = cache(lambda: comment_table(comments, calendar, lexicon))
     sources = SimpleNamespace(
-        comments=comments, vocabulary=vocabulary,
+        comments=table,
+        vocabulary=cache(lambda: vocabulary or build_vocabulary(table(), vocab_size)),
         # gh_pop is a slice of gh_all, so both read the events once
-        gh_all=cache(lambda: github_all_signal(events, comments.calendar)),
+        gh_all=cache(lambda: github_all_signal(events, calendar)),
     )
-    extracted = {f: FAMILIES[f].extract(sources) for f in parse_families(names)}
-    return {f: m for f, m in extracted.items() if m is not None}
+    return {f: FAMILIES[f].extract(sources) for f in parse_families(names)
+            if f != "r_lang" or vocabulary or table().tokens}
 
 
 def families_of_columns(columns: Sequence[str]) -> tuple[tuple[str, ...], Vocabulary | None]:

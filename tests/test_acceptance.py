@@ -415,7 +415,7 @@ def test_everything_is_bitwise_deterministic(tmp_path, capfd):
     with verdict(9, "repeated runs are bitwise identical, including parallel ones", capfd):
         bundle = synthetic.synthetic_bundle(12, days=60, n_coins=1)
         configs = grid.enumerate_grid(
-            ["alphacoin"], ["gh_pop"], [1, 2], [1], subsets=[(), ("gh_pop",)],
+            ["alphacoin"], [1, 2], [1], subsets=[(), ("gh_pop",)],
         )
         options = grid.RunOptions(
             master_seed=12, k_max=2, j_max=1, sizes=(5,), batch_size=8,

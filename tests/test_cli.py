@@ -74,6 +74,11 @@ def test_load_config_validation(tmp_path):
         ({"coins": ["x"]}, "coin 0 must be a JSON object"),
         ([1], "expected a JSON object"),
         ({"coins": [dict(coin, price_csv=5)]}, "coin 0 field 'price_csv' must be a string"),
+        ({"coins": [coin], "vocab_size": 2.5}, "vocab_size must be an integer, got 2.5"),
+        ({"coins": [coin], "vocab_size": "12"}, "vocab_size must be an integer, got '12'"),
+        ({"coins": [coin], "vocab_size": True}, "vocab_size must be an integer, got True"),
+        ({"coins": [coin], "start": "2021-02-01", "end": "2021-01-31"},
+         "start 2021-02-01 is after end 2021-01-31"),
     ):
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=message) as exc:
@@ -374,6 +379,66 @@ def test_commands_read_only_the_archives_their_families_read(tmp_path, capsys, m
         assert ((tmp_path / "ablate_all" / name).read_bytes()
                 == (tmp_path / "ablate_r_vol" / name).read_bytes()), name
     capsys.readouterr()
+
+
+def test_a_bad_date_range_fails_before_any_archive_is_read(tmp_path, capsys, monkeypatch):
+    src = synth_dir(tmp_path, days=40, coins=2)
+    # betacoin's prices now start two days after the configured start
+    price = src / "price_betacoin.csv"
+    lines = price.read_text().splitlines()
+    price.write_text("\n".join(lines[:1] + lines[3:]) + "\n")
+    config = src / "config.json"
+    config.write_text(json.dumps(dict(json.loads(config.read_text()), start="2020-01-01")))
+
+    def unread(path, *args):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(ingest, "load_reddit_comments", unread)
+    monkeypatch.setattr(ingest, "load_github_events", unread)
+    capsys.readouterr()
+    assert run(["ingest", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: requested range 2020-01-01..2020-02-09 extends beyond available "
+        "data 2020-01-03..2020-02-09"
+    ]
+
+
+def test_train_coin_reads_only_that_coins_archives(tmp_path, capsys, monkeypatch):
+    src = synth_dir(tmp_path, days=40, coins=2)
+    # alphacoin's prices end five days early, which shortens the common range
+    price = src / "price_alphacoin.csv"
+    price.write_text("\n".join(price.read_text().splitlines()[:-5]) + "\n")
+    config = str(src / "config.json")
+    train = ["train", "--config", config, "--coin", "betacoin", "--signal-set", "r_vol",
+             "--k", "2", "--j", "1", "--sizes", "4", "--epochs", "2", "--seed", "3"]
+    load_reddit_comments = ingest.load_reddit_comments
+
+    def read_beta_only(path, *args):
+        assert "alphacoin" not in os.path.basename(path), f"read {path}"
+        return load_reddit_comments(path, *args)
+
+    def model_digest(out):
+        (model,) = out.glob("model_*.bin")
+        return hashlib.sha256(model.read_bytes()).hexdigest()
+
+    capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(ingest, "load_reddit_comments", read_beta_only)
+        assert run(train + ["--out", str(tmp_path / "one")]) == 0
+    comments = len((src / "reddit_betacoin.ndjson").read_text().splitlines())
+    assert capsys.readouterr().err.splitlines() == [
+        f"betacoin: 35 days 2020-01-01..2020-02-04 (0 forward-filled), {comments} comments"
+    ]
+
+    # the same bytes as from a bundle of every configured coin
+    build_bundle = cli.build_bundle
+    monkeypatch.setattr(cli, "build_bundle", lambda cfg, families, vocabulary=None:
+                        build_bundle(cli.load_config(config), families, vocabulary))
+    assert run(train + ["--out", str(tmp_path / "all")]) == 0
+    assert "alphacoin: 35 days" in capsys.readouterr().err
+    assert model_digest(tmp_path / "one") == model_digest(tmp_path / "all")
+    for name in ("results.json", "run_manifest.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
 
 
 def test_verbose_logs_training_to_stderr_only(tmp_path):

@@ -65,7 +65,8 @@ def test_derive_seed_is_stable_and_label_sensitive():
 
 def test_enumerate_grid_order_and_counts():
     configs = grid.enumerate_grid(
-        ["a", "b"], ["gh_pop", "r_vol"], k_range=[1, 2], j_range=[1],
+        ["a", "b"], k_range=[1, 2], j_range=[1],
+        subsets=signals.family_powerset(["gh_pop", "r_vol"]),
     )
     per_coin = 1 + 4 * 2  # one arima j, four subsets x two k
     assert len(configs) == 2 * per_coin
@@ -76,18 +77,16 @@ def test_enumerate_grid_order_and_counts():
     assert subsets == [(), ("gh_pop",), ("r_vol",), ("gh_pop", "r_vol")]
     assert all(c.coin == "a" for c in configs[:per_coin])
 
-    explicit = grid.enumerate_grid(
-        ["a"], ["gh_pop", "r_lang"], [1], [1, 3], subsets=[(), ("r_lang",)],
-    )
+    explicit = grid.enumerate_grid(["a"], [1], [1, 3], subsets=[(), ("r_lang",)])
     assert [c.j for c in explicit if c.model_kind == "arima"] == [1, 3]
     assert len(explicit) == 2 + 2 * 2
 
     with pytest.raises(ValueError):
-        grid.enumerate_grid(["a"], ["nope"], [1], [1])
+        grid.enumerate_grid(["a"], [1], [1], subsets=[("nope",)])
     with pytest.raises(ValueError):
-        grid.enumerate_grid(["a"], ["gh_pop"], [0], [1])
+        grid.enumerate_grid(["a"], [0], [1], subsets=[("gh_pop",)])
     with pytest.raises(ValueError):
-        grid.enumerate_grid(["a"], ["gh_pop"], [1], [1], subsets=[("bogus",)])
+        grid.enumerate_grid(["a"], [1], [1], subsets=[("gh_pop",), ("bogus",)])
 
 
 def test_synthetic_coin_is_valid_and_deterministic():
@@ -135,7 +134,7 @@ def test_assemble_coin_builds_all_families():
 def test_run_grid_end_to_end_small():
     bundle = synthetic.synthetic_bundle(3, days=60, n_coins=1)
     configs = grid.enumerate_grid(
-        ["alphacoin"], ["gh_pop"], [1], [1, 2], subsets=[(), ("gh_pop",)],
+        ["alphacoin"], [1], [1, 2], subsets=[(), ("gh_pop",)],
     )
     options = small_options()
     seen = []
@@ -167,7 +166,7 @@ def test_run_grid_end_to_end_small():
 def test_run_grid_parallel_matches_serial():
     bundle = synthetic.synthetic_bundle(4, days=60, n_coins=1)
     configs = grid.enumerate_grid(
-        ["alphacoin"], ["r_vol"], [1], [1], subsets=[(), ("r_vol",)],
+        ["alphacoin"], [1], [1], subsets=[(), ("r_vol",)],
     )
     options = small_options()
     serial = grid.run_grid(configs, bundle, options, jobs=1)
@@ -182,7 +181,7 @@ def test_run_grid_parallel_matches_serial():
 
 def test_run_grid_workers_fail_cells_like_serial_and_report_in_order():
     bundle = synthetic.synthetic_bundle(4, days=60, n_coins=1)
-    configs = grid.enumerate_grid(["alphacoin"], [], [1], [1, 2], subsets=[()])
+    configs = grid.enumerate_grid(["alphacoin"], [1], [1, 2], subsets=[()])
     # a window past the run's k_max: its anchors lie outside the split
     configs.insert(2, grid.ExperimentConfig("alphacoin", "lstm", (), 54, 1))
     options = small_options()
@@ -203,7 +202,7 @@ def test_run_grid_workers_fail_cells_like_serial_and_report_in_order():
 
 def test_run_grid_propagates_unexpected_worker_errors(monkeypatch):
     bundle = synthetic.synthetic_bundle(4, days=60, n_coins=1)
-    configs = grid.enumerate_grid(["alphacoin"], [], [1], [1, 2], subsets=[()])
+    configs = grid.enumerate_grid(["alphacoin"], [1], [1, 2], subsets=[()])
     real = grid.run_experiment
 
     def broken(cfg, bundle, options):
@@ -302,7 +301,7 @@ def test_rank_models_matches_hand_average():
 
 def test_results_json_round_trip(tmp_path):
     bundle = synthetic.synthetic_bundle(2, days=60, n_coins=1)
-    configs = grid.enumerate_grid(["alphacoin"], [], [1], [1], subsets=[()])
+    configs = grid.enumerate_grid(["alphacoin"], [1], [1], subsets=[()])
     results = grid.run_grid(configs, bundle, small_options())
     path = tmp_path / "results.json"
     harness_report.save_results(str(path), results)
@@ -319,7 +318,7 @@ def test_results_json_round_trip(tmp_path):
 def test_emit_report_writes_deterministic_files(tmp_path):
     bundle = synthetic.synthetic_bundle(2, days=60, n_coins=1)
     configs = grid.enumerate_grid(
-        ["alphacoin"], ["gh_pop"], [1], [1], subsets=[(), ("gh_pop",)],
+        ["alphacoin"], [1], [1], subsets=[(), ("gh_pop",)],
     )
     results = grid.run_grid(configs, bundle, small_options())
     out_a = tmp_path / "a"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinseer import signals
-from coinseer.harness import grid
+from coinseer.harness import grid, synthetic
 from coinseer.ingest import CommentRecord, EventRecord, PriceSeries, daily_calendar
 from oracles import day_of, read_signal_csv
 
@@ -223,8 +223,8 @@ def family_inputs():
 
 
 def test_family_table_extracts_what_each_extractor_does():
-    comments, events, lexicon = family_inputs()
-    comments = table(comments, lexicon)
+    records, events, lexicon = family_inputs()
+    comments = table(records, lexicon)
     vocab = signals.build_vocabulary(comments, size=4)
     assert list(signals.FAMILIES) == ["gh_pop", "gh_all", "r_vol", "r_lang", "r_score", "r_sent"]
     assert [f.label for f in signals.FAMILIES.values()] == [
@@ -238,15 +238,21 @@ def test_family_table_extracts_what_each_extractor_does():
         "r_score": signals.reddit_score_signal(comments),
         "r_sent": signals.reddit_sentiment_signal(comments),
     }
-    got = signals.extract_families(reversed(signals.FAMILIES), comments, events, vocab)
+    got = signals.extract_families(reversed(signals.FAMILIES), CAL, records, events, lexicon,
+                                   vocabulary=vocab)
     assert list(got) == list(signals.FAMILIES)
     for name, matrix in got.items():
         assert matrix.columns == direct[name].columns == signals.FAMILIES[name].columns(vocab)
         assert matrix.values.tobytes() == direct[name].values.tobytes()
     npt.assert_array_equal(got["gh_pop"].values, gh_all.values[:, :2])
-    without = signals.extract_families(signals.FAMILIES, comments, events, None)
+    # with no vocabulary given, r_lang reads the corpus's top vocab_size tokens
+    built = signals.extract_families(["r_lang"], CAL, records, events, lexicon, 4)["r_lang"]
+    assert built.values.tobytes() == got["r_lang"].values.tobytes()
+    # and is left out when no comment has a token
+    tokenless = [comment(CAL[0], "++")]
+    without = signals.extract_families(signals.FAMILIES, CAL, tokenless, events, lexicon)
     assert list(without) == ["gh_pop", "gh_all", "r_vol", "r_score", "r_sent"]
-    assert signals.extract_families(["r_vol"], comments, events, None).keys() == {"r_vol"}
+    assert signals.extract_families(["r_vol"], CAL, records, events, lexicon).keys() == {"r_vol"}
     assert [f.archive for f in signals.FAMILIES.values()] == ["github"] * 2 + ["reddit"] * 4
 
 
@@ -376,7 +382,7 @@ def test_comment_table_families_equal_the_per_family_loops_bitwise():
     forecast_vocab = signals.Vocabulary(("w7", "absent", "w0", "w59", "neverseen"))
     for vocab in (signals.build_vocabulary(comments_table, 25), forecast_vocab):
         want = oracle_families(comments, calendar, lexicon, vocab)
-        got = signals.extract_families(want, comments_table, [], vocab)
+        got = signals.extract_families(want, calendar, comments, [], lexicon, vocabulary=vocab)
         for name, values in want.items():
             assert got[name].values.tobytes() == values.tobytes(), name
     assert not got["r_lang"].column("r_lang_absent").any()
@@ -407,6 +413,21 @@ def test_assemble_coin_tokenizes_each_comment_once(monkeypatch):
     coin = grid.assemble_coin(price, comments, [], lexicon, vocab_size=20)
     assert sorted(calls) == sorted(c.body for c in comments)
     assert list(coin.signals) == list(signals.FAMILIES)
+
+
+def test_synthetic_bundle_builds_the_comment_table_only_for_reddit_families(monkeypatch):
+    tables, tokenized = [], []
+    comment_table, tokenize = signals.comment_table, signals.tokenize
+    monkeypatch.setattr(signals, "comment_table",
+                        lambda *args: tables.append(args) or comment_table(*args))
+    monkeypatch.setattr(signals, "tokenize", lambda text: tokenized.append(text) or tokenize(text))
+    for families in ((), ("gh_pop", "gh_all"), ("r_vol", "r_lang", "r_score")):
+        bundle = synthetic.synthetic_bundle(7, 60, 1, families)
+        assert list(bundle.coins["alphacoin"].signals) == list(families)
+        if "r_vol" not in families:
+            assert not tables and not tokenized, families
+    assert len(tables) == 1
+    assert len(tokenized) == len(tables[0][0])
 
 
 def test_assemble_coin_drops_language_only_when_no_comment_has_tokens(caplog):

@@ -263,10 +263,16 @@ def _source(args: argparse.Namespace) -> tuple[Config | None, tuple[str, ...]]:
 
 
 def _bundle_for(
-    args: argparse.Namespace, seed: int, cfg: Config | None, families: tuple[str, ...]
+    args: argparse.Namespace,
+    seed: int,
+    cfg: Config | None,
+    names: tuple[str, ...],
+    families: tuple[str, ...],
 ) -> harness_grid.DataBundle:
+    """The bundle of coins ``names``: generated with --synthetic, else
+    read for the coins of ``cfg``, which must be the same."""
     if cfg is None:
-        return harness_synth.synthetic_bundle(seed, args.days, args.coins, families)
+        return harness_synth.synthetic_bundle(seed, args.days, names, families)
     bundle, lines = build_bundle(cfg, families)
     for line in lines:
         print(line, file=sys.stderr)
@@ -402,7 +408,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         _, start, end = _load_prices(source)
         spec = next(c for c in source.coins if c.name == coin)
         source = replace(source, coins=(spec,), start=start, end=end)
-    bundle = _bundle_for(args, seed, source, subset)
+    bundle = _bundle_for(args, seed, source, (coin,), subset)
     cfg = harness_grid.ExperimentConfig(coin, "lstm", subset, args.k, args.j)
     result, model = harness_grid.train_lstm_experiment(cfg, bundle, options)
     os.makedirs(args.out, exist_ok=True)
@@ -500,8 +506,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         raise ValueError("jobs must be positive")
     subsets = _signal_subsets(args.signals)
     families = signals.parse_families({f for s in subsets for f in s})
-    source, _ = _source(args)
-    bundle = _bundle_for(args, seed, source, families)
+    source, names = _source(args)
+    bundle = _bundle_for(args, seed, source, names, families)
     available = set.intersection(*(set(cd.signals) for cd in bundle.coins.values()))
     if args.signals == "all":  # the powerset of the families the data has
         subsets = [s for s in subsets if available.issuperset(s)]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from datetime import date, datetime, time, timedelta, timezone
-from typing import Collection
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -163,12 +163,12 @@ def synthetic_coin_names(n_coins: int, days: int) -> tuple[str, ...]:
 def synthetic_bundle(
     master_seed: int,
     days: int,
-    n_coins: int = 2,
+    names: Sequence[str],
     families: Collection[str] = FAMILIES,
 ) -> DataBundle:
-    """A ready-to-run bundle of synthetic coins on one shared calendar,
-    with the signal ``families`` extracted."""
-    names = synthetic_coin_names(n_coins, days)
+    """A ready-to-run bundle of the named synthetic coins on one shared
+    calendar, with the signal ``families`` extracted. Each coin has its
+    own seed, so a coin is the same whichever others are built with it."""
     lexicon = bundled_lexicon()
     coins: dict[str, CoinData] = {}
     for name in names:

@@ -5,7 +5,9 @@ four gates (input, forget, cell candidate, output; sigmoid, sigmoid,
 tanh, sigmoid) with zero initial hidden and cell states; the last
 layer's final hidden state feeds a single linear output unit. Gate
 weights are packed along one axis in i|f|g|o order. Gradients come from
-full backpropagation through time.
+full backpropagation through time: only the recurrent product stays in
+the step loop, and each layer's weight, bias and input gradients are one
+product (or sum) over all of its time steps.
 
 All parameters live in one contiguous float64 buffer laid out
 ``w1,b1,w2,b2,...,wd,bd | u1,u2,...``; ``Network.params`` holds named,
@@ -209,6 +211,15 @@ def backward(
     t=0 recurrent terms are skipped because the initial states are zero,
     which makes those contributions identically zero.
 
+    Only the recurrent product ``dh = dz @ u.T`` runs inside the step
+    loop; it writes each step's gate gradient ``dz`` into a per-layer
+    (batch, k, 4h) buffer. After the loop, each layer's time-independent
+    products run once over the stacked steps (Appleyard, Kočiský &
+    Blunsom 2016): ``dw = Xᵀ DZ`` over batch·k rows, ``du = H_{t-1}ᵀ DZ``
+    over the batch·(k-1) rows of steps 1..k-1, the input gradient
+    ``DZ wᵀ``, and one sum for ``db``. With k=1 these are the per-step
+    products themselves.
+
     Every element of the live span's gradient is written into ``out``
     (a new buffer when None), laid out like ``net.flat[:live_size(k)]``.
     The result maps each name to its view of ``out``; with k=1 the
@@ -228,26 +239,15 @@ def backward(
     grads["bd"][0] = d.sum()
     d_seq = np.zeros_like(last_hidden)
     d_seq[:, -1] = d[:, None] * net.params["wd"][None, :]
-    # each earlier step's term of a dw or du sum lands here before it is
-    # added; one buffer serves every layer, so no step allocates
-    scratch = np.empty(max(p.size for p in net.params.values())) if k > 1 else None
     for li in range(len(net.sizes), 0, -1):
         lc = layers[li - 1]
         h = net.sizes[li - 1]
-        w = net.params[f"w{li}"]
         u = net.params[f"u{li}"]
-        dw = grads[f"w{li}"]
-        du = grads[f"u{li}"]
-        db = grads[f"b{li}"]
-        # the first layer's input gradient would reach only the data
-        d_in = np.empty_like(lc.inputs) if li > 1 else None
         dh = np.zeros((batch, h))
         dc = np.zeros((batch, h))
-        dz = np.empty((batch, 4 * h))
-        if scratch is not None:
-            dw_step = scratch[: dw.size].reshape(dw.shape)
-            du_step = scratch[: du.size].reshape(du.shape)
+        dzs = np.empty((batch, k, 4 * h))
         for t in range(k - 1, -1, -1):
+            dz = dzs[:, t]
             dh_t = dh + d_seq[:, t]
             gi = lc.gates[:, t, :h]
             gf = lc.gates[:, t, h : 2 * h]
@@ -262,28 +262,19 @@ def backward(
             if t > 0:
                 c_prev = lc.cells[:, t - 1]
                 dz[:, h : 2 * h] = dc * c_prev * gf * (1.0 - gf)
-            else:
-                dz[:, h : 2 * h] = 0.0
-            # the last step writes each sum's first term, so ``out`` is
-            # never zeroed
-            if t == k - 1:
-                np.matmul(lc.inputs[:, t].T, dz, out=dw)
-                db[...] = dz.sum(axis=0)
-            else:
-                np.matmul(lc.inputs[:, t].T, dz, out=dw_step)
-                dw += dw_step
-                db += dz.sum(axis=0)
-            if d_in is not None:
-                d_in[:, t] = dz @ w.T
-            if t > 0:
-                if t == k - 1:
-                    np.matmul(lc.hidden[:, t - 1].T, dz, out=du)
-                else:
-                    np.matmul(lc.hidden[:, t - 1].T, dz, out=du_step)
-                    du += du_step
                 dh = dz @ u.T
                 dc = dc * gf
-        d_seq = d_in
+            else:
+                dz[:, h : 2 * h] = 0.0
+        stacked = dzs.reshape(batch * k, 4 * h)
+        np.matmul(lc.inputs.reshape(batch * k, -1).T, stacked, out=grads[f"w{li}"])
+        np.sum(stacked, axis=0, out=grads[f"b{li}"])
+        if k > 1:
+            h_prev = lc.hidden[:, :-1].reshape(-1, h)
+            np.matmul(h_prev.T, dzs[:, 1:].reshape(-1, 4 * h), out=grads[f"u{li}"])
+        # the first layer's input gradient would reach only the data
+        if li > 1:
+            d_seq = (stacked @ net.params[f"w{li}"].T).reshape(lc.inputs.shape)
     return grads
 
 

@@ -1,5 +1,6 @@
 """Reference helpers that only the tests call: the batch loss and its
-gradients, the reader of signal CSVs, and the UTC day of a timestamp."""
+gradients, backpropagation with one weight-gradient product per time
+step, the reader of signal CSVs, and the UTC day of a timestamp."""
 
 from __future__ import annotations
 
@@ -24,6 +25,98 @@ def loss_and_grads(
     mse = float(resid @ resid) / resid.size
     grads = lstm.backward(net, cache, (2.0 / resid.size) * resid)
     return mse, grads
+
+
+def per_step_backward(
+    net: lstm.Network,
+    layers: tuple[lstm.LayerCache, ...],
+    d_preds: np.ndarray,
+    out: np.ndarray | None = None,
+) -> lstm.ParamDict:
+    """Oracle: lstm.backward as one weight-gradient GEMM per time step.
+
+    Each step's ``dw``/``du`` term is computed into a full-size scratch
+    array and added; the input gradient runs once per step. Exact
+    backpropagation through time over every layer and step. The
+    t=0 recurrent terms are skipped because the initial states are zero,
+    which makes those contributions identically zero.
+
+    Every element of the live span's gradient is written into ``out``
+    (a new buffer when None), laid out like ``net.flat[:live_size(k)]``.
+    The result maps each name to its view of ``out``; with k=1 the
+    recurrent weights get no space and read as zeros.
+    """
+    d = np.atleast_1d(np.asarray(d_preds, dtype=np.float64))
+    batch, k, _ = layers[0].inputs.shape
+    if d.shape != (batch,):
+        raise ValueError(f"d_preds must have shape ({batch},), got {d.shape}")
+    size = net.live_size(k)
+    flat = np.empty(size) if out is None else out
+    if flat.shape != (size,) or flat.dtype != np.float64:
+        raise ValueError(f"gradient buffer must be float64 of shape ({size},)")
+    grads = lstm._views(flat, net._layout)
+    last_hidden = layers[-1].hidden
+    grads["wd"][...] = last_hidden[:, -1].T @ d
+    grads["bd"][0] = d.sum()
+    d_seq = np.zeros_like(last_hidden)
+    d_seq[:, -1] = d[:, None] * net.params["wd"][None, :]
+    # each earlier step's term of a dw or du sum lands here before it is
+    # added; one buffer serves every layer, so no step allocates
+    scratch = np.empty(max(p.size for p in net.params.values())) if k > 1 else None
+    for li in range(len(net.sizes), 0, -1):
+        lc = layers[li - 1]
+        h = net.sizes[li - 1]
+        w = net.params[f"w{li}"]
+        u = net.params[f"u{li}"]
+        dw = grads[f"w{li}"]
+        du = grads[f"u{li}"]
+        db = grads[f"b{li}"]
+        # the first layer's input gradient would reach only the data
+        d_in = np.empty_like(lc.inputs) if li > 1 else None
+        dh = np.zeros((batch, h))
+        dc = np.zeros((batch, h))
+        dz = np.empty((batch, 4 * h))
+        if scratch is not None:
+            dw_step = scratch[: dw.size].reshape(dw.shape)
+            du_step = scratch[: du.size].reshape(du.shape)
+        for t in range(k - 1, -1, -1):
+            dh_t = dh + d_seq[:, t]
+            gi = lc.gates[:, t, :h]
+            gf = lc.gates[:, t, h : 2 * h]
+            gg = lc.gates[:, t, 2 * h : 3 * h]
+            go = lc.gates[:, t, 3 * h :]
+            ct = lc.cell_tanh[:, t]
+            do = dh_t * ct
+            dc = dc + dh_t * go * (1.0 - ct * ct)
+            dz[:, :h] = dc * gg * gi * (1.0 - gi)
+            dz[:, 2 * h : 3 * h] = dc * gi * (1.0 - gg * gg)
+            dz[:, 3 * h :] = do * go * (1.0 - go)
+            if t > 0:
+                c_prev = lc.cells[:, t - 1]
+                dz[:, h : 2 * h] = dc * c_prev * gf * (1.0 - gf)
+            else:
+                dz[:, h : 2 * h] = 0.0
+            # the last step writes each sum's first term, so ``out`` is
+            # never zeroed
+            if t == k - 1:
+                np.matmul(lc.inputs[:, t].T, dz, out=dw)
+                db[...] = dz.sum(axis=0)
+            else:
+                np.matmul(lc.inputs[:, t].T, dz, out=dw_step)
+                dw += dw_step
+                db += dz.sum(axis=0)
+            if d_in is not None:
+                d_in[:, t] = dz @ w.T
+            if t > 0:
+                if t == k - 1:
+                    np.matmul(lc.hidden[:, t - 1].T, dz, out=du)
+                else:
+                    np.matmul(lc.hidden[:, t - 1].T, dz, out=du_step)
+                    du += du_step
+                dh = dz @ u.T
+                dc = dc * gf
+        d_seq = d_in
+    return grads
 
 
 def read_signal_csv(path: str) -> SignalMatrix:

@@ -413,7 +413,7 @@ def test_benchmark_ranking_reproduces_reference_order(capfd):
 
 def test_everything_is_bitwise_deterministic(tmp_path, capfd):
     with verdict(9, "repeated runs are bitwise identical, including parallel ones", capfd):
-        bundle = synthetic.synthetic_bundle(12, days=60, n_coins=1)
+        bundle = synthetic.synthetic_bundle(12, days=60, names=("alphacoin",))
         configs = grid.enumerate_grid(
             ["alphacoin"], [1, 2], [1], subsets=[(), ("gh_pop",)],
         )

@@ -16,6 +16,7 @@ import pytest
 from coinseer import cli, ingest, signals
 from coinseer.harness import grid
 from coinseer.harness import report as harness_report
+from coinseer.harness import synthetic
 from oracles import read_signal_csv
 
 
@@ -438,6 +439,27 @@ def test_train_coin_reads_only_that_coins_archives(tmp_path, capsys, monkeypatch
     assert "alphacoin: 35 days" in capsys.readouterr().err
     assert model_digest(tmp_path / "one") == model_digest(tmp_path / "all")
     for name in ("results.json", "run_manifest.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
+def test_train_synthetic_coin_generates_and_extracts_only_that_coin(tmp_path, monkeypatch):
+    train = ["train", "--synthetic", "--days", "40", "--coins", "2", "--coin", "betacoin",
+             "--signal-set", "r_vol", "--k", "2", "--j", "1", "--sizes", "4",
+             "--epochs", "2", "--seed", "3"]
+    tables = []
+    comment_table = signals.comment_table
+    with monkeypatch.context() as m:
+        m.setattr(signals, "comment_table",
+                  lambda *args: tables.append(args) or comment_table(*args))
+        assert run(train + ["--out", str(tmp_path / "one")]) == 0
+    assert len(tables) == 1
+
+    # the same bytes as from a bundle of every synthetic coin
+    bundle = synthetic.synthetic_bundle
+    monkeypatch.setattr(synthetic, "synthetic_bundle", lambda seed, days, names, families:
+                        bundle(seed, days, synthetic.SYNTH_COIN_NAMES[:2], families))
+    assert run(train + ["--out", str(tmp_path / "all")]) == 0
+    for name in ("model_betacoin_lstm_r_vol_k2_j1.bin", "results.json", "run_manifest.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
 
 

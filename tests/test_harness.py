@@ -110,7 +110,7 @@ def test_synthetic_coin_is_valid_and_deterministic():
 def test_synthetic_popularity_tracks_price():
     wins = 0
     for seed in range(10):
-        bundle = synthetic.synthetic_bundle(seed, days=150, n_coins=1)
+        bundle = synthetic.synthetic_bundle(seed, days=150, names=("alphacoin",))
         cd = bundle.coins["alphacoin"]
         watch = cd.signals["gh_pop"].column("gh_watch")
         r, _ = stats.pearson(watch, cd.price.high)
@@ -120,7 +120,7 @@ def test_synthetic_popularity_tracks_price():
 
 
 def test_assemble_coin_builds_all_families():
-    bundle = synthetic.synthetic_bundle(5, days=60, n_coins=2)
+    bundle = synthetic.synthetic_bundle(5, days=60, names=("alphacoin", "betacoin"))
     assert set(bundle.coins) == {"alphacoin", "betacoin"}
     for cd in bundle.coins.values():
         assert set(cd.signals) == {
@@ -132,7 +132,7 @@ def test_assemble_coin_builds_all_families():
 
 
 def test_run_grid_end_to_end_small():
-    bundle = synthetic.synthetic_bundle(3, days=60, n_coins=1)
+    bundle = synthetic.synthetic_bundle(3, days=60, names=("alphacoin",))
     configs = grid.enumerate_grid(
         ["alphacoin"], [1], [1, 2], subsets=[(), ("gh_pop",)],
     )
@@ -164,7 +164,7 @@ def test_run_grid_end_to_end_small():
 
 
 def test_run_grid_parallel_matches_serial():
-    bundle = synthetic.synthetic_bundle(4, days=60, n_coins=1)
+    bundle = synthetic.synthetic_bundle(4, days=60, names=("alphacoin",))
     configs = grid.enumerate_grid(
         ["alphacoin"], [1], [1], subsets=[(), ("r_vol",)],
     )
@@ -180,7 +180,7 @@ def test_run_grid_parallel_matches_serial():
 
 
 def test_run_grid_workers_fail_cells_like_serial_and_report_in_order():
-    bundle = synthetic.synthetic_bundle(4, days=60, n_coins=1)
+    bundle = synthetic.synthetic_bundle(4, days=60, names=("alphacoin",))
     configs = grid.enumerate_grid(["alphacoin"], [1], [1, 2], subsets=[()])
     # a window past the run's k_max: its anchors lie outside the split
     configs.insert(2, grid.ExperimentConfig("alphacoin", "lstm", (), 54, 1))
@@ -201,7 +201,7 @@ def test_run_grid_workers_fail_cells_like_serial_and_report_in_order():
 
 
 def test_run_grid_propagates_unexpected_worker_errors(monkeypatch):
-    bundle = synthetic.synthetic_bundle(4, days=60, n_coins=1)
+    bundle = synthetic.synthetic_bundle(4, days=60, names=("alphacoin",))
     configs = grid.enumerate_grid(["alphacoin"], [1], [1, 2], subsets=[()])
     real = grid.run_experiment
 
@@ -217,7 +217,7 @@ def test_run_grid_propagates_unexpected_worker_errors(monkeypatch):
 
 
 def test_run_experiment_reports_failure_instead_of_raising():
-    bundle = synthetic.synthetic_bundle(6, days=60, n_coins=1)
+    bundle = synthetic.synthetic_bundle(6, days=60, names=("alphacoin",))
     cfg = grid.ExperimentConfig("alphacoin", "lstm", (), 54, 2)
     result = grid.run_experiment(cfg, bundle, small_options(k_max=54))
     assert result.metrics is None
@@ -227,7 +227,7 @@ def test_run_experiment_reports_failure_instead_of_raising():
 def test_train_lstm_experiment_norm_modes():
     # seed 8 puts the price peak after the training period, so the two
     # normalization modes fit different ranges
-    bundle = synthetic.synthetic_bundle(8, days=60, n_coins=1)
+    bundle = synthetic.synthetic_bundle(8, days=60, names=("alphacoin",))
     cfg = grid.ExperimentConfig("alphacoin", "lstm", (), 2, 1)
     whole, whole_model = grid.train_lstm_experiment(cfg, bundle, small_options())
     causal, causal_model = grid.train_lstm_experiment(
@@ -245,7 +245,7 @@ def test_train_lstm_experiment_norm_modes():
 def test_both_model_kinds_fit_on_the_rows_seen_in_training(monkeypatch):
     # with a strictly rising price the fitted maximum sits on the last row
     # read, so reading one row more or one fewer changes norm.maxs
-    synth = synthetic.synthetic_bundle(3, days=60, n_coins=1).coins["alphacoin"]
+    synth = synthetic.synthetic_bundle(3, days=60, names=("alphacoin",)).coins["alphacoin"]
     n = len(synth.price.dates)
     high = 100.0 + np.cumsum(np.random.default_rng(1).uniform(0.5, 1.5, n))
     price = PriceSeries("alphacoin", synth.price.dates, high, high, high, high)
@@ -300,7 +300,7 @@ def test_rank_models_matches_hand_average():
 
 
 def test_results_json_round_trip(tmp_path):
-    bundle = synthetic.synthetic_bundle(2, days=60, n_coins=1)
+    bundle = synthetic.synthetic_bundle(2, days=60, names=("alphacoin",))
     configs = grid.enumerate_grid(["alphacoin"], [1], [1], subsets=[()])
     results = grid.run_grid(configs, bundle, small_options())
     path = tmp_path / "results.json"
@@ -316,7 +316,7 @@ def test_results_json_round_trip(tmp_path):
 
 
 def test_emit_report_writes_deterministic_files(tmp_path):
-    bundle = synthetic.synthetic_bundle(2, days=60, n_coins=1)
+    bundle = synthetic.synthetic_bundle(2, days=60, names=("alphacoin",))
     configs = grid.enumerate_grid(
         ["alphacoin"], [1], [1], subsets=[(), ("gh_pop",)],
     )

@@ -13,7 +13,7 @@ import pytest
 
 from coinseer import lstm
 from coinseer.dataset import NormParams, WindowedDataset
-from oracles import loss_and_grads
+from oracles import loss_and_grads, per_step_backward
 
 
 def toy_dataset(inputs, targets, k, feature_names=None, j=1):
@@ -194,6 +194,27 @@ def test_backward_matches_numeric_gradients():
             denom = max(np.abs(numeric[key]).max(), 1e-8)
             rel = np.abs(grads[key] - numeric[key]).max() / denom
             assert rel < 1e-6, f"{sizes} k={k} {key}: rel err {rel}"
+
+
+@pytest.mark.parametrize("sizes", [(5,), (4, 6)])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_backward_matches_per_step_oracle(sizes, k):
+    rng = np.random.default_rng(k)
+    for batch in (1, 2, 7, 16):
+        net = lstm.init_network(3, sizes, seed=int(rng.integers(1000)))
+        _, cache = lstm.forward_batch(net, rng.normal(size=(batch, k, 3)))
+        d = rng.normal(size=batch)
+        want = per_step_backward(net, cache, d)
+        got = lstm.backward(net, cache, d)
+        assert got.keys() == want.keys()
+        for key, g in want.items():
+            if k == 1:
+                # one step: the stacked products are the per-step ones
+                assert got[key].tobytes() == g.tobytes(), (batch, key)
+            else:
+                # the step sums of dw, du and db run in another order
+                err = np.abs(got[key] - g).max()
+                assert err <= 1e-12 * np.abs(g).max(), (batch, key, err)
 
 
 def test_adam_known_single_step():
@@ -503,11 +524,20 @@ def test_model_round_trip_and_deterministic_bytes(tmp_path):
 
 # sha256 of save_model's bytes for small_trained_model(k, sizes), recorded
 # by the code that kept each parameter in its own array (numpy 2.4.6,
-# OpenBLAS 0.3.31, x86-64); the file format and the arithmetic are unchanged.
+# OpenBLAS 0.3.31, x86-64). That code summed the weight gradients one time
+# step at a time, as oracles.per_step_backward still does.
 RECORDED_MODEL_SHA256 = {
     (1, (3, 4)): "958e0c3074dc1377f405daf9f85b6d92bfc43b9ff6fe44951f1ca452e503c12b",
     (4, (3,)): "2b8da75bf96028e7e3c8ba9bebfd477033bff1a5b876ddf71f95363a9bb14245",
     (3, (3, 4)): "326688c2f161adae9cc966d87146906729dd91d93258d4c8d2bf9bcd339ce30d",
+}
+
+# The entries whose bits moved when backward summed each layer's weight
+# gradients over all time steps in one product: the sums of X_t^T dz_t and
+# H_(t-1)^T dz_t, and of db, run in another order. k=1 has one step.
+STACKED_MODEL_SHA256 = {
+    (4, (3,)): "ada41d460daadf9bb230d545ce39ff078c9ed165134d042b0dd1fc16ebb2681c",
+    (3, (3, 4)): "2654cd6d5900d610e8340e1f3e49daf39571952256b19245f0380857ec9ab8f2",
 }
 
 
@@ -524,7 +554,8 @@ def test_saved_bytes_match_record_and_load_into_one_buffer(tmp_path, k, sizes):
     model, ds, config = small_trained_model(k, sizes)
     path = tmp_path / "m.bin"
     lstm.save_model(str(path), model)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDED_MODEL_SHA256[(k, sizes)]
+    want = STACKED_MODEL_SHA256.get((k, sizes), RECORDED_MODEL_SHA256[(k, sizes)])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
     loaded = lstm.load_model(str(path))
     flat = loaded.network.flat
@@ -541,6 +572,15 @@ def test_saved_bytes_match_record_and_load_into_one_buffer(tmp_path, k, sizes):
     assert all(math.isfinite(s.val_mse) for s in retrained.history)
     preds, _ = lstm.forward_batch(retrained.network, ds.inputs)
     assert np.all(np.isfinite(preds)) and not np.array_equal(preds, want)
+
+
+@pytest.mark.parametrize("k, sizes", sorted(RECORDED_MODEL_SHA256))
+def test_per_step_backward_reproduces_recorded_bytes(monkeypatch, tmp_path, k, sizes):
+    monkeypatch.setattr(lstm, "backward", per_step_backward)
+    model, _, _ = small_trained_model(k, sizes)
+    path = tmp_path / "m.bin"
+    lstm.save_model(str(path), model)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDED_MODEL_SHA256[(k, sizes)]
 
 
 def test_load_model_rejects_mismatched_parameters(tmp_path):

@@ -422,7 +422,7 @@ def test_synthetic_bundle_builds_the_comment_table_only_for_reddit_families(monk
                         lambda *args: tables.append(args) or comment_table(*args))
     monkeypatch.setattr(signals, "tokenize", lambda text: tokenized.append(text) or tokenize(text))
     for families in ((), ("gh_pop", "gh_all"), ("r_vol", "r_lang", "r_score")):
-        bundle = synthetic.synthetic_bundle(7, 60, 1, families)
+        bundle = synthetic.synthetic_bundle(7, 60, ("alphacoin",), families)
         assert list(bundle.coins["alphacoin"].signals) == list(families)
         if "r_vol" not in families:
             assert not tables and not tokenized, families

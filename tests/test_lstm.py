@@ -554,8 +554,8 @@ def test_saved_bytes_match_record_and_load_into_one_buffer(tmp_path, k, sizes):
     model, ds, config = small_trained_model(k, sizes)
     path = tmp_path / "m.bin"
     lstm.save_model(str(path), model)
-    want = STACKED_MODEL_SHA256.get((k, sizes), RECORDED_MODEL_SHA256[(k, sizes)])
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == want
+    digest = STACKED_MODEL_SHA256.get((k, sizes), RECORDED_MODEL_SHA256[(k, sizes)])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     loaded = lstm.load_model(str(path))
     flat = loaded.network.flat

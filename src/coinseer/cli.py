@@ -164,19 +164,26 @@ def _load_prices(cfg: Config) -> tuple[list[ingest.PriceSeries], date, date]:
 
 
 def build_bundle(
-    cfg: Config, families: Collection[str], vocabulary: signals.Vocabulary | None = None
+    cfg: Config,
+    families: Collection[str],
+    vocabulary: signals.Vocabulary | None = None,
+    names: Collection[str] | None = None,
 ) -> tuple[harness_grid.DataBundle, list[str]]:
-    """Align every configured coin's prices to their common range before
-    any archive is read; then, coin by coin, read only the archives that
-    ``families`` read and extract them (r_lang from ``vocabulary``, else the
-    comments'). Also returns one summary line per coin, of what was read."""
+    """The bundle of the configured coins ``names`` (default: all of them).
+    Every configured coin's prices, each file read once, set the common
+    date range, and the coins in ``names`` are aligned to it before any
+    archive is read; then, coin by coin, only the archives that
+    ``families`` read are read and extracted (r_lang from ``vocabulary``,
+    else the comments'). Also returns one summary line per coin, of what
+    was read."""
     reads = {signals.FAMILIES[f].archive for f in families}
     lexicon = _load_lexicon(cfg.lexicon)
     series, start, end = _load_prices(cfg)
-    aligned = [ingest.align_calendar(price, start, end) for price in series]
+    aligned = [(spec, *ingest.align_calendar(price, start, end))
+               for spec, price in zip(cfg.coins, series) if names is None or spec.name in names]
     coins: dict[str, harness_grid.CoinData] = {}
     lines = []
-    for spec, (price, fills) in zip(cfg.coins, aligned):
+    for spec, price, fills in aligned:
         comments = events = ()  # also drops the previous coin's records
         line = f"{spec.name}: {len(price)} days {start}..{end} ({fills} forward-filled)"
         if "reddit" in reads:
@@ -270,10 +277,10 @@ def _bundle_for(
     families: tuple[str, ...],
 ) -> harness_grid.DataBundle:
     """The bundle of coins ``names``: generated with --synthetic, else
-    read for the coins of ``cfg``, which must be the same."""
+    read from ``cfg``, whose coins set the date range."""
     if cfg is None:
         return harness_synth.synthetic_bundle(seed, args.days, names, families)
-    bundle, lines = build_bundle(cfg, families)
+    bundle, lines = build_bundle(cfg, families, names=names)
     for line in lines:
         print(line, file=sys.stderr)
     return bundle
@@ -403,11 +410,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     coin = args.coin or names[0]
     if coin not in names:
         raise ValueError(f"unknown coin {coin!r}")
-    if source is not None and len(source.coins) > 1:
-        # the other coins only settle the common date range
-        _, start, end = _load_prices(source)
-        spec = next(c for c in source.coins if c.name == coin)
-        source = replace(source, coins=(spec,), start=start, end=end)
     bundle = _bundle_for(args, seed, source, (coin,), subset)
     cfg = harness_grid.ExperimentConfig(coin, "lstm", subset, args.k, args.j)
     result, model = harness_grid.train_lstm_experiment(cfg, bundle, options)

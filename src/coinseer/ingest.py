@@ -180,10 +180,21 @@ def _parse_epoch(value: object) -> int:
     return ts
 
 
-def _read_ndjson(path: str, parse: Callable[[dict], tuple | None]) -> list:
+def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) -> list:
     """The records ``parse`` makes of an NDJSON file's objects, sorted.
-    ``parse`` gives None to drop an object and raises ValueError, KeyError
-    or TypeError for one it cannot read; its line is skipped and counted."""
+
+    Only a line that could name ``want`` (a lowercase subreddit or repo
+    name) is decoded: one whose lowercased text contains ``want``, or that
+    holds a JSON escape that could spell one of its characters (``\\u``, or
+    ``\\/`` for a name with a slash; subreddit and repo names hold no quote,
+    backslash or control character). ``parse`` gives None to drop a
+    decoded object and raises ValueError, KeyError or TypeError for one it
+    cannot read; its line is skipped and counted. Every other line is
+    foreign and is not decoded; it counts as skipped only if it is not
+    shaped like an object (it does not start with ``{`` and end with
+    ``}``). Every non-blank line counts toward the total, and more than 1%
+    skipped lines rejects the file."""
+    escapes = ("\\u", "\\/") if "/" in want else ("\\u",)
     records = []
     skipped = total = 0
     with open(path, encoding="utf-8") as fh:
@@ -192,6 +203,10 @@ def _read_ndjson(path: str, parse: Callable[[dict], tuple | None]) -> list:
             if not line:
                 continue
             total += 1
+            if want not in line.lower() and not ("\\" in line and any(e in line for e in escapes)):
+                if not (line.startswith("{") and line.endswith("}")):
+                    skipped += 1
+                continue
             try:
                 record = parse(json.loads(line))
             except (ValueError, KeyError, TypeError):
@@ -213,10 +228,12 @@ def _read_ndjson(path: str, parse: Callable[[dict], tuple | None]) -> list:
 def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:
     """Read an NDJSON comment dump, keeping one subreddit (case-insensitive).
 
-    Lines that fail to decode or lack created_utc/subreddit/body/score are
-    skipped and counted; more than 1% skipped lines rejects the file. The
-    result is sorted by the full record tuple, so any shuffling of the input
-    lines yields an identical list.
+    A line that cannot name the subreddit (see _read_ndjson) is not
+    decoded, and counts as skipped only if it is not shaped like an object
+    ({...}). A decoded line that is not valid JSON or lacks
+    created_utc/subreddit/body/score is skipped and counted. More than 1%
+    skipped lines rejects the file. The result is sorted by the full record
+    tuple, so any shuffling of the input lines yields an identical list.
     """
     want = subreddit.lower()
 
@@ -229,7 +246,7 @@ def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:
             raise ValueError("bad field type")
         return CommentRecord(created, sub, body, score) if sub.lower() == want else None
 
-    records = _read_ndjson(path, parse)
+    records = _read_ndjson(path, want, parse)
     if not records:
         log.warning("%s: no comments matched subreddit %r", path, subreddit)
     return records
@@ -254,8 +271,9 @@ def load_github_events(path: str, repo: str) -> list[EventRecord]:
 
     Repository match is case-insensitive on the full owner/name. Event types
     outside the eight canonical ones are dropped (and counted in the log)
-    rather than treated as corruption. Skip tolerance and ordering follow
-    load_reddit_comments.
+    rather than treated as corruption. Which lines are decoded, which count
+    as skipped toward the 1% limit, and the ordering follow
+    load_reddit_comments, with the repository in place of the subreddit.
     """
     want = repo.lower()
     unknown = 0
@@ -275,7 +293,7 @@ def load_github_events(path: str, repo: str) -> list[EventRecord]:
             return None
         return EventRecord(created, name, event_type)
 
-    records = _read_ndjson(path, parse)
+    records = _read_ndjson(path, want, parse)
     if unknown:
         log.info("%s: dropped %d events of unrecognized type", path, unknown)
     if not records:

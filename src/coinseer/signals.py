@@ -10,10 +10,12 @@ from __future__ import annotations
 import csv
 import re
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cache
 from importlib import resources
+from itertools import count
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -146,12 +148,12 @@ def comment_table(
     """Tokenize each comment and place it on ``calendar``, in one pass."""
     calendar, entries = tuple(calendar), lexicon.entries
     day = _day_rows([rec.created_utc for rec in comments], calendar)
-    ids: dict[str, int] = {}
+    ids: defaultdict[str, int] = defaultdict(count().__next__)  # a new token takes the next id
     token_ids, offsets = array("q"), [0]
     sentiment = np.zeros((len(day), 2))  # scored on the calendar only
     for c, (rec, row) in enumerate(zip(comments, day.tolist())):
         tokens = tokenize(rec.body)
-        token_ids.extend([ids.setdefault(t, len(ids)) for t in tokens])
+        token_ids.extend(map(ids.__getitem__, tokens))
         offsets.append(len(token_ids))
         hits = [entries[t] for t in tokens if t in entries] if row >= 0 else ()
         if hits:

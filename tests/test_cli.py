@@ -369,8 +369,8 @@ def test_commands_read_only_the_archives_their_families_read(tmp_path, capsys, m
     # the same bytes as from a bundle with every family extracted
     build_bundle = cli.build_bundle
     monkeypatch.setattr(cli, "build_bundle",
-                        lambda cfg, families, vocabulary=None:
-                        build_bundle(cfg, signals.FAMILIES, vocabulary))
+                        lambda cfg, families, vocabulary=None, names=None:
+                        build_bundle(cfg, signals.FAMILIES, vocabulary, names))
     for signal_set in ("r_vol", "price"):
         out = tmp_path / f"all_{signal_set}"
         assert run(train + ["--signal-set", signal_set, "--out", str(out)]) == 0
@@ -433,13 +433,42 @@ def test_train_coin_reads_only_that_coins_archives(tmp_path, capsys, monkeypatch
 
     # the same bytes as from a bundle of every configured coin
     build_bundle = cli.build_bundle
-    monkeypatch.setattr(cli, "build_bundle", lambda cfg, families, vocabulary=None:
+    monkeypatch.setattr(cli, "build_bundle", lambda cfg, families, vocabulary=None, names=None:
                         build_bundle(cli.load_config(config), families, vocabulary))
     assert run(train + ["--out", str(tmp_path / "all")]) == 0
     assert "alphacoin: 35 days" in capsys.readouterr().err
     assert model_digest(tmp_path / "one") == model_digest(tmp_path / "all")
     for name in ("results.json", "run_manifest.json"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
+def test_train_coin_reads_each_price_file_once(tmp_path, monkeypatch):
+    src = synth_dir(tmp_path, days=40, coins=2)
+    # alphacoin's prices end five days early, which shortens the common range
+    price = src / "price_alphacoin.csv"
+    price.write_text("\n".join(price.read_text().splitlines()[:-5]) + "\n")
+    train = ["train", "--coin", "betacoin", "--signal-set", "r_vol", "--k", "2", "--j", "1",
+             "--sizes", "4", "--epochs", "2", "--seed", "3"]
+    reads = []
+    load_price_series = ingest.load_price_series
+    with monkeypatch.context() as m:
+        m.setattr(ingest, "load_price_series",
+                  lambda path, coin: reads.append(os.path.basename(path))
+                  or load_price_series(path, coin))
+        assert run(train + ["--config", str(src / "config.json"),
+                            "--out", str(tmp_path / "once")]) == 0
+    assert sorted(reads) == ["price_alphacoin.csv", "price_betacoin.csv"]
+
+    # the same bytes as from betacoin alone over the common range, which the
+    # range read first and the coin read again used to give
+    cfg = json.loads((src / "config.json").read_text())
+    cfg["coins"] = [c for c in cfg["coins"] if c["name"] == "betacoin"]
+    cfg["start"], cfg["end"] = "2020-01-01", "2020-02-04"
+    (src / "betacoin.json").write_text(json.dumps(cfg))
+    assert run(train + ["--config", str(src / "betacoin.json"),
+                        "--out", str(tmp_path / "alone")]) == 0
+    for name in ("model_betacoin_lstm_r_vol_k2_j1.bin", "results.json"):
+        assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
 def test_train_synthetic_coin_generates_and_extracts_only_that_coin(tmp_path, monkeypatch):

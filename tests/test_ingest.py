@@ -235,12 +235,15 @@ def load(github, path):
     return ingest.load_reddit_comments(str(path), "cryptocurrency")
 
 
+#: Unreadable lines that count toward the limit: the first two are not
+#: shaped like objects, and the objects name both wanted names, so both
+#: loaders decode them.
 BAD_LINES = (
     "{broken",
     "[1, 2]",
     json.dumps({"created_utc": -5, "subreddit": "CryptoCurrency", "body": "x", "score": 1,
-                "type": "WatchEvent", "created_at": "junk", "repo": {"name": "a/b"}}),
-    json.dumps({"body": "x", "repo": "a/b"}),
+                "type": "WatchEvent", "created_at": "junk", "repo": {"name": "bitcoin/bitcoin"}}),
+    json.dumps({"body": "x", "subreddit": "CryptoCurrency", "repo": "bitcoin/bitcoin"}),
 )
 
 
@@ -266,3 +269,81 @@ def test_skip_rate_boundary(tmp_path, per_hundred, github, bad, seed):
                 load(github, src)
         else:
             assert len(load(github, src)) == len(good)
+
+
+def escaped(name):
+    """``name`` spelled entirely with JSON \\u escapes."""
+    return "".join(f"\\u{ord(ch):04x}" for ch in name)
+
+
+def test_every_spelling_of_the_wanted_name_is_decoded(tmp_path, monkeypatch):
+    day = date(2021, 1, 1)
+    reddit = [
+        comment_line(day, hour=1),
+        comment_line(day, hour=2).replace('"CryptoCurrency"', f'"{escaped("CryptoCurrency")}"'),
+        comment_line(day, hour=3).replace('"CryptoCurrency"', '"crypto\\u0043urrency"'),
+        comment_line(day, sub="cRYPTOcURRENCY", hour=4),
+        comment_line(day, sub="aww", hour=5),
+        comment_line(day, sub="aww", body="a\\/b \\n", hour=6),
+    ]
+    github = [
+        event_line(day, hour=1),
+        event_line(day, hour=2).replace('"bitcoin/bitcoin"', '"bitcoin\\/bitcoin"'),
+        event_line(day, hour=3).replace('"bitcoin/bitcoin"', f'"{escaped("bitcoin/bitcoin")}"'),
+        event_line(day, repo="BitCoin/BITCOIN", hour=4),
+        event_line(day, repo="torvalds/linux", hour=5),
+        event_line(day, repo="bitcoin/bitcoin-core", hour=6),
+    ]
+    assert "cryptocurrency" not in reddit[1].lower() + reddit[2].lower()
+    assert "bitcoin/bitcoin" not in github[1].lower() + github[2].lower()
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+    # the foreign lines are never decoded, save the repo whose name holds the wanted one
+    for github_file, lines, names, decodes in (
+        (False, reddit, ["CryptoCurrency", "CryptoCurrency", "cryptoCurrency", "cRYPTOcURRENCY"],
+         reddit[:4]),
+        (True, github, ["bitcoin/bitcoin"] * 3 + ["BitCoin/BITCOIN"], github[:4] + github[5:]),
+    ):
+        rng = np.random.default_rng(0)
+        for n in range(4):
+            order = rng.permutation(len(lines)) if n else range(len(lines))
+            src = tmp_path / f"{github_file}_{n}.ndjson"
+            write_lines(src, [lines[i] for i in order])
+            decoded.clear()
+            records = load(github_file, src)
+            assert [r[1] for r in records] == names
+            assert [day_of(r.created_utc) for r in records] == [day] * 4
+            assert sorted(decoded) == sorted(decodes)
+
+
+@pytest.mark.parametrize("github", [False, True])
+def test_only_foreign_lines_not_shaped_like_objects_count_as_skipped(tmp_path, caplog, github):
+    make = event_line if github else comment_line
+    good = [make(date(2021, 1, 1), hour=h % 24) for h in range(198)]
+    foreign_objects = [
+        "{}",
+        '{"body": "no other field"}',
+        '{broken, but braced}',
+        comment_line(date(2021, 1, 1), sub="aww"),
+        event_line(date(2021, 1, 1), repo="torvalds/linux"),
+    ]
+    foreign_other = ["not json at all", "[1, 2]"]
+    src = tmp_path / "ok.ndjson"
+    write_lines(src, foreign_objects + good + foreign_other)
+    with caplog.at_level("DEBUG", logger="coinseer.ingest"):
+        assert len(load(github, src)) == 198
+    assert f"{src}: 205 lines read, 198 records kept, 2 lines skipped" in caplog.messages
+
+    write_lines(src, foreign_objects + good + foreign_other + ['"a JSON string"'])
+    with pytest.raises(ingest.IngestError,
+                       match=r"3 of 206 lines unreadable \(1\.5%, tolerance 1%\)"):
+        load(github, src)
+
+
+@pytest.mark.parametrize("github", [False, True])
+def test_a_file_of_non_json_lines_is_rejected(tmp_path, github):
+    src = tmp_path / "junk.ndjson"
+    write_lines(src, ["not json", "[1, 2", "12", "cryptocurrency bitcoin/bitcoin"] * 5)
+    with pytest.raises(ingest.IngestError, match=r"20 of 20 lines unreadable \(100\.0%"):
+        load(github, src)

@@ -194,7 +194,7 @@ def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) ->
     shaped like an object (it does not start with ``{`` and end with
     ``}``). Every non-blank line counts toward the total, and more than 1%
     skipped lines rejects the file."""
-    escapes = ("\\u", "\\/") if "/" in want else ("\\u",)
+    slash = "/" in want
     records = []
     skipped = total = 0
     with open(path, encoding="utf-8") as fh:
@@ -203,7 +203,7 @@ def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) ->
             if not line:
                 continue
             total += 1
-            if want not in line.lower() and not ("\\" in line and any(e in line for e in escapes)):
+            if want not in line.lower() and "\\u" not in line and not (slash and "\\/" in line):
                 if not (line.startswith("{") and line.endswith("}")):
                     skipped += 1
                 continue

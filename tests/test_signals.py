@@ -401,6 +401,9 @@ def test_comment_table_rows_and_scores():
     npt.assert_array_equal(got.subjectivity, [0.25, 0.0, 0.0])
     npt.assert_array_equal(got.offsets, [0, 3, 4, 4])
     assert [got.tokens[i] for i in got.token_ids] == ["good", "x", "good", "good"]
+    # ids in order of first occurrence
+    assert got.tokens == ("good", "x")
+    assert got.token_ids.dtype == np.int64
 
 
 def test_assemble_coin_tokenizes_each_comment_once(monkeypatch):

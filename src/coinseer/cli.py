@@ -27,6 +27,10 @@ from .harness import synthetic as harness_synth
 log = logging.getLogger(__name__)
 
 _COIN_NAME_RE = re.compile(r"^[a-z0-9_]+$")
+#: Characters JSON must write as an escape (\", \\, \n, ...). Ingest's
+#: pre-filter does not look for those escapes, so a subreddit or repo name
+#: that held one would never match; no real name holds one.
+_ESCAPED_CHAR_RE = re.compile(r'["\\\x00-\x1f]')
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,12 @@ def load_config(path: str) -> Config:
             raise ValueError(
                 f"{path}: coin name {spec.name!r} must match [a-z0-9_]+"
             )
+        for key in ("subreddit", "repo"):
+            if _ESCAPED_CHAR_RE.search(getattr(spec, key)):
+                raise ValueError(
+                    f"{path}: coin {i} field {key!r} must not hold a quote, "
+                    "a backslash or a control character"
+                )
         if spec.name in seen:
             raise ValueError(f"{path}: duplicate coin name {spec.name!r}")
         seen.add(spec.name)

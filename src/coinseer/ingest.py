@@ -186,8 +186,11 @@ def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) ->
     Only a line that could name ``want`` (a lowercase subreddit or repo
     name) is decoded: one whose lowercased text contains ``want``, or that
     holds a JSON escape that could spell one of its characters (``\\u``, or
-    ``\\/`` for a name with a slash; subreddit and repo names hold no quote,
-    backslash or control character). ``parse`` gives None to drop a
+    ``\\/`` for a name with a slash; a config's subreddit and repo names
+    hold no quote, backslash or control character, see cli.load_config).
+    The filter saves time only on foreign lines that hold no ``\\u``;
+    every other line costs one lowercasing and one substring search more
+    than decoding alone. ``parse`` gives None to drop a
     decoded object and raises ValueError, KeyError or TypeError for one it
     cannot read; its line is skipped and counted. Every other line is
     foreign and is not decoded; it counts as skipped only if it is not

@@ -80,6 +80,12 @@ def test_load_config_validation(tmp_path):
         ({"coins": [coin], "vocab_size": True}, "vocab_size must be an integer, got True"),
         ({"coins": [coin], "start": "2021-02-01", "end": "2021-01-31"},
          "start 2021-02-01 is after end 2021-01-31"),
+        ({"coins": [dict(coin, subreddit='al"pha')]},
+         "coin 0 field 'subreddit' must not hold a quote"),
+        ({"coins": [dict(coin, subreddit="al\npha")]},
+         "coin 0 field 'subreddit' must not hold a quote"),
+        ({"coins": [dict(coin, repo="a\\b")]}, "coin 0 field 'repo' must not hold a quote"),
+        ({"coins": [dict(coin, repo="a/b\t")]}, "coin 0 field 'repo' must not hold a quote"),
     ):
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match=message) as exc:

@@ -14,8 +14,8 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, fields, replace
-from datetime import date, datetime, timedelta, timezone
+from dataclasses import asdict, dataclass, fields, replace
+from datetime import date, timedelta
 from typing import Collection
 
 from . import __version__, ingest, lstm, signals, stats
@@ -301,48 +301,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     names = harness_synth.synthetic_coin_names(args.coins, args.days)
     os.makedirs(args.out, exist_ok=True)
     config_coins = []
-    for name in names:
-        price, comments, events = harness_synth.generate_synthetic_coin(
-            name, harness_grid.derive_seed(seed, "synth", name), args.days
-        )
-        price_path = os.path.join(args.out, f"price_{name}.csv")
-        ingest.save_price_series(price_path, price)
-        reddit_path = os.path.join(args.out, f"reddit_{name}.ndjson")
-        ingest.write_ndjson(
-            reddit_path,
-            (
-                {
-                    "created_utc": c.created_utc,
-                    "subreddit": c.subreddit,
-                    "body": c.body,
-                    "score": c.score,
-                }
-                for c in comments
-            ),
-        )
-        github_path = os.path.join(args.out, f"github_{name}.ndjson")
-        ingest.write_ndjson(
-            github_path,
-            (
-                {
-                    "type": f"{e.event_type}Event",
-                    "created_at": datetime.fromtimestamp(e.created_utc, timezone.utc)
-                    .strftime("%Y-%m-%dT%H:%M:%SZ"),
-                    "repo": {"name": e.repo},
-                }
-                for e in events
-            ),
-        )
-        config_coins.append(
-            {
-                "name": name,
-                "price_csv": f"price_{name}.csv",
-                "reddit_ndjson": f"reddit_{name}.ndjson",
-                "subreddit": name,
-                "github_ndjson": f"github_{name}.ndjson",
-                "repo": f"{name}/{name}",
-            }
-        )
+    for name, price, comments, events in harness_synth.synthetic_coins(seed, args.days, names):
+        spec = CoinSpec(name, f"price_{name}.csv", f"reddit_{name}.ndjson", name,
+                        f"github_{name}.ndjson", f"{name}/{name}")
+        ingest.save_price_series(os.path.join(args.out, spec.price_csv), price)
+        ingest.save_reddit_comments(os.path.join(args.out, spec.reddit_ndjson), comments)
+        ingest.save_github_events(os.path.join(args.out, spec.github_ndjson), events)
+        config_coins.append(asdict(spec))
         print(f"{name}: {args.days} days, {len(comments)} comments, {len(events)} events")
     config_path = os.path.join(args.out, "config.json")
     with open(config_path, "w", encoding="utf-8") as fh:
@@ -412,6 +377,20 @@ def _run_options(args: argparse.Namespace, seed: int, k_max: int, j_max: int) ->
     )
 
 
+def _run_manifest_args(args: argparse.Namespace, **extra: object) -> dict:
+    """The manifest args of a train or ablate run: its data source and
+    every setting _run_options reads (--jobs changes no output byte)."""
+    return {
+        "source": "synthetic" if args.synthetic else os.path.basename(args.config),
+        "days": args.days if args.synthetic else None,
+        "coins": args.coins if args.synthetic else None,
+        **{key: getattr(args, key) for key in (
+            "k", "j", "train_frac", "sizes", "batch_size", "learning_rate",
+            "epochs", "patience", "max_lag", "train_only_norm")},
+        **extra,
+    }
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     options = _run_options(args, seed, k_max=args.k, j_max=args.j)
@@ -428,18 +407,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_path = os.path.join(args.out, f"model_{cid}.bin")
     lstm.save_model(model_path, model)
     harness_report.save_results(os.path.join(args.out, "results.json"), [result])
-    write_manifest(
-        args.out,
-        "train",
-        seed,
-        {
-            "coin": coin,
-            "signal_set": list(subset),
-            "k": args.k,
-            "j": args.j,
-            "sizes": list(args.sizes),
-        },
-    )
+    write_manifest(args.out, "train", seed,
+                   _run_manifest_args(args, coin=coin, signal_set=list(subset)))
     m = result.metrics
     assert m is not None
     print(
@@ -543,23 +512,13 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     harness_report.save_results(os.path.join(args.out, "results.json"), results)
     failed = sum(1 for r in results if r.metrics is None)
-    manifest_args = {
-        "source": "synthetic" if args.synthetic else os.path.basename(args.config),
-        "days": args.days if args.synthetic else None,
-        "coins": args.coins if args.synthetic else None,
-        "k": args.k,
-        "j": args.j,
-        "signals": args.signals,
-        "sizes": list(args.sizes),
-        "train_only_norm": args.train_only_norm,
-    }
     try:
         written = harness_report.emit_report(results, args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        write_manifest(args.out, "ablate", seed, manifest_args)
+        write_manifest(args.out, "ablate", seed, _run_manifest_args(args, signals=args.signals))
     print(f"wrote {len(written) + 2} files to {args.out}")
     if failed:
         print(f"{failed} of {total} experiments failed", file=sys.stderr)

@@ -160,9 +160,10 @@ def split_protocol(
 
 
 def _slice(ds: WindowedDataset, lo: int, hi: int) -> WindowedDataset:
+    """Samples lo..hi-1 of ``ds``, as read-only views of its arrays."""
     return WindowedDataset(
-        inputs=ds.inputs[lo:hi].copy(),
-        targets=ds.targets[lo:hi].copy(),
+        inputs=ds.inputs[lo:hi],
+        targets=ds.targets[lo:hi],
         anchor_dates=ds.anchor_dates[lo:hi],
         k=ds.k,
         j=ds.j,

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import math
 from datetime import date, datetime, time, timedelta, timezone
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..ingest import EVENT_TYPES, CommentRecord, EventRecord, PriceSeries, daily_calendar
 from ..signals import FAMILIES, bundled_lexicon
-from .grid import CoinData, DataBundle, assemble_coin, derive_seed
+from .grid import DataBundle, assemble_coin, derive_seed
 
 SYNTH_COIN_NAMES = (
     "alphacoin",
@@ -63,7 +63,7 @@ def _check_days(days: int) -> None:
 
 
 def generate_synthetic_coin(
-    name: str, seed: int, days: int, start: date = SYNTH_START
+    name: str, seed: int, days: int
 ) -> tuple[PriceSeries, list[CommentRecord], list[EventRecord]]:
     """One coin's price series, Reddit comments, and GitHub events.
 
@@ -76,7 +76,7 @@ def generate_synthetic_coin(
     """
     _check_days(days)
     rng = np.random.default_rng(seed)
-    calendar = daily_calendar(start, start + timedelta(days=days - 1))
+    calendar = daily_calendar(SYNTH_START, SYNTH_START + timedelta(days=days - 1))
 
     log_price = np.empty(days)
     drift_sign = np.empty(days)
@@ -160,20 +160,26 @@ def synthetic_coin_names(n_coins: int, days: int) -> tuple[str, ...]:
     return SYNTH_COIN_NAMES[:n_coins]
 
 
+def synthetic_coins(
+    master_seed: int, days: int, names: Iterable[str]
+) -> Iterator[tuple[str, PriceSeries, list[CommentRecord], list[EventRecord]]]:
+    """Each named coin with its price series, comments and events, one at
+    a time. Each coin has its own seed, so a coin is the same whichever
+    others are generated with it."""
+    for name in names:
+        yield name, *generate_synthetic_coin(name, derive_seed(master_seed, "synth", name), days)
+
+
 def synthetic_bundle(
     master_seed: int,
     days: int,
     names: Sequence[str],
     families: Collection[str] = FAMILIES,
 ) -> DataBundle:
-    """A ready-to-run bundle of the named synthetic coins on one shared
-    calendar, with the signal ``families`` extracted. Each coin has its
-    own seed, so a coin is the same whichever others are built with it."""
+    """A ready-to-run bundle of the named synthetic_coins on one shared
+    calendar, with the signal ``families`` extracted."""
     lexicon = bundled_lexicon()
-    coins: dict[str, CoinData] = {}
-    for name in names:
-        price, comments, events = generate_synthetic_coin(
-            name, derive_seed(master_seed, "synth", name), days
-        )
-        coins[name] = assemble_coin(price, comments, events, lexicon, families)
-    return DataBundle(coins=coins)
+    return DataBundle(coins={
+        name: assemble_coin(price, comments, events, lexicon, families)
+        for name, price, comments, events in synthetic_coins(master_seed, days, names)
+    })

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import sys
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Callable, Iterable, NamedTuple
@@ -36,6 +37,10 @@ _EVENT_BY_RAW = {name + "Event": name for name in EVENT_TYPES}
 
 #: Share of undecodable lines tolerated before an archive is rejected.
 MAX_SKIP_RATE = 0.01
+
+#: The latest instant a record may carry: 9999-12-31T23:59:59Z, the last
+#: that a GitHub created_at can spell.
+MAX_EPOCH = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
 
 
 class IngestError(ValueError):
@@ -165,19 +170,25 @@ def save_price_series(path: str, series: PriceSeries) -> None:
             )
 
 
+def _checked_epoch(ts: int) -> int:
+    """``ts``, if it lies after the epoch and no later than MAX_EPOCH."""
+    if ts <= 0:
+        raise ValueError("non-positive timestamp")
+    if ts > MAX_EPOCH:
+        raise ValueError("timestamp after 9999-12-31")
+    return ts
+
+
 def _parse_epoch(value: object) -> int:
-    """Epoch seconds from an int, float, or decimal string."""
+    """Epoch seconds from an int, float, or decimal string; an infinite
+    value raises OverflowError."""
     if isinstance(value, bool):
         raise ValueError("boolean timestamp")
     if isinstance(value, (int, float)):
-        ts = int(value)
-    elif isinstance(value, str):
-        ts = int(float(value))
-    else:
-        raise ValueError(f"bad timestamp type {type(value).__name__}")
-    if ts <= 0:
-        raise ValueError("non-positive timestamp")
-    return ts
+        return _checked_epoch(int(value))
+    if isinstance(value, str):
+        return _checked_epoch(int(float(value)))
+    raise ValueError(f"bad timestamp type {type(value).__name__}")
 
 
 def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) -> list:
@@ -190,8 +201,8 @@ def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) ->
     hold no quote, backslash or control character, see cli.load_config).
     The filter saves time only on foreign lines that hold no ``\\u``;
     every other line costs one lowercasing and one substring search more
-    than decoding alone. ``parse`` gives None to drop a
-    decoded object and raises ValueError, KeyError or TypeError for one it
+    than decoding alone. ``parse`` gives None to drop a decoded object and
+    raises ValueError, KeyError, TypeError or OverflowError for one it
     cannot read; its line is skipped and counted. Every other line is
     foreign and is not decoded; it counts as skipped only if it is not
     shaped like an object (it does not start with ``{`` and end with
@@ -212,7 +223,7 @@ def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) ->
                 continue
             try:
                 record = parse(json.loads(line))
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, OverflowError):
                 skipped += 1
                 continue
             if record is not None:
@@ -228,15 +239,25 @@ def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) ->
     return records
 
 
+def write_ndjson(path: str, objects: Iterable[dict]) -> None:
+    """Write dicts as one JSON object per line (sorted keys, compact)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+            fh.write("\n")
+
+
 def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:
     """Read an NDJSON comment dump, keeping one subreddit (case-insensitive).
 
     A line that cannot name the subreddit (see _read_ndjson) is not
     decoded, and counts as skipped only if it is not shaped like an object
-    ({...}). A decoded line that is not valid JSON or lacks
-    created_utc/subreddit/body/score is skipped and counted. More than 1%
-    skipped lines rejects the file. The result is sorted by the full record
-    tuple, so any shuffling of the input lines yields an identical list.
+    ({...}). A decoded line that is not valid JSON, lacks
+    created_utc/subreddit/body/score, or holds a time outside 1970..9999
+    or a score that float64 cannot hold is skipped and counted. More than
+    1% skipped lines rejects the file. The result is sorted by the full
+    record tuple, so any shuffling of the input lines yields an identical
+    list.
     """
     want = subreddit.lower()
 
@@ -247,6 +268,8 @@ def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:
         score = int(obj["score"])
         if not isinstance(sub, str) or not isinstance(body, str):
             raise ValueError("bad field type")
+        if abs(score) > sys.float_info.max:  # comment_table holds scores as float64
+            raise ValueError("score out of float64 range")
         return CommentRecord(created, sub, body, score) if sub.lower() == want else None
 
     records = _read_ndjson(path, want, parse)
@@ -255,18 +278,22 @@ def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:
     return records
 
 
-def _parse_iso_instant(value: str) -> int:
+def save_reddit_comments(path: str, comments: Iterable[CommentRecord]) -> None:
+    """Write comments as the NDJSON dump load_reddit_comments reads."""
+    write_ndjson(path, (c._asdict() for c in comments))
+
+
+def _parse_iso_instant(value: object) -> int:
     """Epoch seconds from an ISO-8601 instant such as 2015-01-01T15:04:05Z."""
+    if not isinstance(value, str):
+        raise TypeError(f"bad timestamp type {type(value).__name__}")
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    ts = int(dt.timestamp())
-    if ts <= 0:
-        raise ValueError("non-positive timestamp")
-    return ts
+    return _checked_epoch(int(dt.timestamp()))
 
 
 def load_github_events(path: str, repo: str) -> list[EventRecord]:
@@ -302,6 +329,15 @@ def load_github_events(path: str, repo: str) -> list[EventRecord]:
     if not records:
         log.warning("%s: no events matched repo %r", path, repo)
     return records
+
+
+def save_github_events(path: str, events: Iterable[EventRecord]) -> None:
+    """Write events as the GitHub Archive NDJSON dump load_github_events reads."""
+    write_ndjson(path, ({
+        "type": e.event_type + "Event",
+        "created_at": f"{datetime.fromtimestamp(e.created_utc, timezone.utc):%Y-%m-%dT%H:%M:%SZ}",
+        "repo": {"name": e.repo},
+    } for e in events))
 
 
 def align_calendar(
@@ -345,11 +381,3 @@ def align_calendar(
         ),
         fills,
     )
-
-
-def write_ndjson(path: str, objects: Iterable[dict]) -> None:
-    """Write dicts as one JSON object per line (sorted keys, compact)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for obj in objects:
-            fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")

@@ -295,6 +295,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
         if self.max_epochs < 1:

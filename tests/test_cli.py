@@ -107,6 +107,8 @@ def test_load_config_validation(tmp_path):
     ("--batch-size", "0", "batch_size must be positive"),
     ("--epochs", "0", "max_epochs must be positive"),
     ("--learning-rate", "-1", "learning_rate must be nonnegative"),
+    ("--learning-rate", "nan", "learning_rate must be finite, got nan"),
+    ("--learning-rate", "inf", "learning_rate must be finite, got inf"),
     ("--train-frac", "1.5", "train_frac must lie in (0, 1)"),
     ("--max-lag", "-1", "max_lag must be nonnegative"),
 ])
@@ -199,6 +201,31 @@ def test_synth_writes_complete_archive(tmp_path, capsys):
         assert (out / name).read_bytes() == (again / name).read_bytes()
 
 
+def test_synth_archives_reproduce_the_synthetic_source(tmp_path, capsys):
+    src = synth_dir(tmp_path, days=60, coins=2, seed=3)
+    names = synthetic.synthetic_coin_names(2, 60)
+    for name, price, comments, events in synthetic.synthetic_coins(3, 60, names):
+        loaded = ingest.load_price_series(str(src / f"price_{name}.csv"), name)
+        assert loaded.dates == price.dates
+        for field in ("open", "high", "low", "close"):
+            assert getattr(loaded, field).tobytes() == getattr(price, field).tobytes()
+        assert ingest.load_reddit_comments(str(src / f"reddit_{name}.ndjson"), name) == comments
+        assert ingest.load_github_events(
+            str(src / f"github_{name}.ndjson"), f"{name}/{name}") == events
+
+    sizes = ["--k", "1", "--j", "1", "--sizes", "4", "--epochs", "1", "--jobs", "1", "--seed", "3"]
+    runs = {}
+    for source in (["--config", str(src / "config.json")],
+                   ["--synthetic", "--days", "60", "--coins", "2"]):
+        out = tmp_path / source[0][2:]
+        assert run(["ablate", *source, *sizes, "--out", str(out)]) == 0
+        runs[source[0]] = {p.name: p.read_bytes() for p in out.iterdir()
+                           if p.name != "run_manifest.json"}
+    assert len(runs["--config"]) > 1
+    assert runs["--config"] == runs["--synthetic"]
+    capsys.readouterr()
+
+
 def test_ingest_reports_summary(tmp_path, capsys):
     out = synth_dir(tmp_path)
     capsys.readouterr()
@@ -249,7 +276,12 @@ def test_train_then_forecast_round_trip(tmp_path, capsys):
     assert model_path.exists()
     assert (train_out / "results.json").exists()
     manifest = json.loads((train_out / "run_manifest.json").read_text())
-    assert manifest["args"]["signal_set"] == ["gh_pop"]
+    assert manifest["args"] == {
+        "source": "config.json", "days": None, "coins": None,
+        "coin": "alphacoin", "signal_set": ["gh_pop"], "k": 2, "j": 1,
+        "train_frac": 0.8, "sizes": [4], "batch_size": 16, "learning_rate": 0.001,
+        "epochs": 2, "patience": 2, "max_lag": 5, "train_only_norm": False,
+    }
 
     rc = run(["forecast", "--model", str(model_path),
               "--config", str(src / "config.json")])
@@ -580,8 +612,12 @@ def test_ablate_end_to_end_and_report(tmp_path, capsys):
     assert any(n.startswith("predictions_") for n in names)
     assert any(n.endswith(".svg") for n in names)
     manifest = json.loads((out1 / "run_manifest.json").read_text())
-    assert "jobs" not in manifest["args"]
-    assert manifest["args"]["k"] == [1]
+    assert manifest["args"] == {  # every setting but --jobs, which changes no byte
+        "source": "synthetic", "days": 40, "coins": 1, "signals": "none",
+        "k": [1], "j": [1], "train_frac": 0.8, "sizes": [4], "batch_size": 16,
+        "learning_rate": 0.001, "epochs": 2, "patience": 2, "max_lag": 5,
+        "train_only_norm": False,
+    }
 
     out2 = tmp_path / "run2"
     assert run(argv + ["--out", str(out2), "--jobs", "2"]) == 0

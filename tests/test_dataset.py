@@ -135,6 +135,10 @@ def test_validation_tail_sizes():
     assert (len(fit), len(val)) == (8, 2)
     assert fit.anchor_dates + val.anchor_dates == ds.anchor_dates
     npt.assert_array_equal(val.targets, ds.targets[-2:])
+    for part in (fit, val):  # read-only views of the one window tensor, not copies
+        assert np.shares_memory(part.inputs, ds.inputs)
+        assert np.shares_memory(part.targets, ds.targets)
+        assert not part.inputs.flags.writeable
 
     matrix5 = matrix_of(np.arange(7.0))
     ds5 = dataset.make_windows(matrix5, np.arange(7.0), 2, 1)  # 5 samples

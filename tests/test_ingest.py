@@ -235,15 +235,31 @@ def load(github, path):
     return ingest.load_reddit_comments(str(path), "cryptocurrency")
 
 
+def both_names(created_utc, score="1", created_at='"junk"'):
+    """An object naming both wanted names, with its times and score spelled
+    as raw JSON; the default created_at makes it unreadable as an event."""
+    return (f'{{"created_utc":{created_utc},"subreddit":"CryptoCurrency","body":"x",'
+            f'"score":{score},"type":"WatchEvent","created_at":{created_at},'
+            '"repo":{"name":"bitcoin/bitcoin"}}')
+
+
 #: Unreadable lines that count toward the limit: the first two are not
 #: shaped like objects, and the objects name both wanted names, so both
-#: loaders decode them.
+#: loaders decode them. The last six hold a number out of range (an
+#: infinite or post-9999 time, or a score that float64 cannot hold) or a
+#: created_at that is not a string.
 BAD_LINES = (
     "{broken",
     "[1, 2]",
     json.dumps({"created_utc": -5, "subreddit": "CryptoCurrency", "body": "x", "score": 1,
                 "type": "WatchEvent", "created_at": "junk", "repo": {"name": "bitcoin/bitcoin"}}),
     json.dumps({"body": "x", "subreddit": "CryptoCurrency", "repo": "bitcoin/bitcoin"}),
+    both_names("Infinity"),
+    both_names("1e999"),
+    both_names("100000000000000000000"),
+    both_names("1609459200", score="1" + "0" * 400),
+    both_names('"x"', created_at='"9999-12-31T23:59:59-01:00"'),
+    both_names('"x"', created_at="1609459200"),
 )
 
 

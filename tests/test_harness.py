@@ -1,8 +1,9 @@
 """Experiment grid, synthetic data generator, ranking, and report files."""
 
+import hashlib
 import json
 import multiprocessing
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import numpy.testing as npt
@@ -343,6 +344,113 @@ def test_emit_report_writes_deterministic_files(tmp_path):
 
     with pytest.raises(ValueError, match="nothing to report"):
         harness_report.emit_report([], str(tmp_path / "c"))
+
+
+def golden_results():
+    """Fixed results built by hand, so the report bytes depend on no
+    training and no BLAS: ARIMA and LSTM over two horizons, a single
+    prediction, a flat series and two failures."""
+    start = date(2020, 3, 1)
+
+    def rows(truth, preds, offset=0):
+        return tuple(
+            (start + timedelta(days=offset + i), t, p) for i, (t, p) in enumerate(zip(truth, preds))
+        )
+
+    def report(n, rmspe):
+        return MetricsReport(
+            n=n, mape=rmspe * 0.8, mape_ci=0.1 + 0.2, maxape=rmspe * 2.5,
+            mspe=rmspe**2, rmspe=rmspe, rmspe_ci=1 / 3, rmse=rmspe * 101.25,
+        )
+
+    truth = [101.5, 103.25, 99.875, 104.0, 108.125, 106.5, 111.0]
+    arima_summary = {"lag": 2, "intercept": 0.125, "ar_coeffs": [0.5, -0.25]}
+    lstm_summary = {"epochs": 4, "best_epoch": 2, "best_val_mse": 0.0123, "out_of_range": 1}
+    cfg = grid.ExperimentConfig
+    return [
+        grid.ExperimentResult(
+            cfg("alpha", "arima", (), 0, 1), report(7, 4.25),
+            rows(truth, [t * 1.01 for t in truth]), arima_summary,
+        ),
+        grid.ExperimentResult(
+            cfg("alpha", "arima", (), 0, 2), report(6, 6.5),
+            rows(truth[1:], [t * 0.97 for t in truth[1:]], 1), arima_summary,
+        ),
+        grid.ExperimentResult(
+            cfg("alpha", "lstm", ("r_vol",), 2, 1), report(7, 3.125),
+            rows(truth, [t + 0.5 for t in truth]), lstm_summary,
+        ),
+        grid.ExperimentResult(
+            cfg("alpha", "lstm", ("r_vol",), 2, 2), report(1, 2.0),
+            rows([120.0], [117.6], 6), lstm_summary,
+        ),
+        grid.ExperimentResult(
+            cfg("beta", "lstm", (), 1, 1), report(4, 0.0), rows([50.0] * 4, [50.0] * 4), {},
+        ),
+        grid.ExperimentResult(
+            cfg("beta", "lstm", (), 1, 2), report(3, 9.75),
+            rows(truth[:3], [t * 1.1 for t in truth[:3]], 1), lstm_summary,
+        ),
+        grid.ExperimentResult(
+            cfg("beta", "lstm", ("gh_pop",), 1, 1), None, error="non-finite gradient",
+        ),
+        grid.ExperimentResult(cfg("beta", "arima", (), 0, 2), None),
+    ]
+
+
+# sha256 of every file that emit_report and save_results write for
+# golden_results(), in emit_report's order; results.json comes last.
+GOLDEN_REPORT_SHA256 = {
+    "ranking.csv": "8a984a37d4a68483d7c6524384856b15d8e0e48ba526a622a84ad458338b384f",
+    "metrics.csv": "ece0f96c047fdf87f083d3e48ddad48c5067db3422a3fd27d87696537ef2445e",
+    "report.txt": "c3dca289216c3929576be68211d80347cb1ebc244e2ee612d43380fb959da098",
+    "predictions_alpha_arima_price_j1.csv":
+        "022c9776979a8fe9eaa3aa20376aac524d632697c5f93cb90ef20d89ee5880d9",
+    "plot_alpha_arima_price_j1.svg":
+        "08153aab7f3765e592a5258175b72db0baa835fde6fef9f3d9d765c343b6a3da",
+    "predictions_alpha_arima_price_j2.csv":
+        "bb67a7623082b2273880e86b04e619c24da635b4b1eef2222f858248ec6429fc",
+    "plot_alpha_arima_price_j2.svg":
+        "a5a07e9d760bc89938e27094a72c171a21dbe070536188da7674bdb798a84649",
+    "predictions_alpha_lstm_r_vol_k2_j1.csv":
+        "6411f8fff0ff89ee10c0f5097b90b4b74220bae84c9de8a3162e219a828e811f",
+    "plot_alpha_lstm_r_vol_k2_j1.svg":
+        "00da399685a30f4caa1a75931f6e9c6bbbd186bc1353a6ec061e170cc29714e6",
+    "predictions_alpha_lstm_r_vol_k2_j2.csv":
+        "89a12373ce5275188444a479ed2f61225161123f9d1a02f1b013728328af5530",
+    "plot_alpha_lstm_r_vol_k2_j2.svg":
+        "a9c9ce6076d32a7402cd3a60a63b2128b577a0ca2abee0a4c2ebe291f184b412",
+    "predictions_beta_lstm_price_k1_j1.csv":
+        "629cd590e5ccceebbd40e7a59aba0c8950c92bc77992011528ee475877344a93",
+    "plot_beta_lstm_price_k1_j1.svg":
+        "1c7cc52839b8da0ce0971982d26d063ed33e031ae08453cc7b1295c84e4c495b",
+    "predictions_beta_lstm_price_k1_j2.csv":
+        "6de8c58484e12d0ddbbba58f197b65c9e3021a6bbaf6f688c268af16ca128339",
+    "plot_beta_lstm_price_k1_j2.svg":
+        "41f32d001c384de6583447481c772e6013c3f7b7415de57040f2512bc4e13a9e",
+    "results.json": "bbf1904fefe5520eb424096a4113cf6c826c935def562508ca5bc28c80babb58",
+}
+
+
+def test_report_bytes_match_recorded_digests(tmp_path):
+    results = golden_results()
+    written = harness_report.emit_report(results, str(tmp_path / "out"))
+    path = tmp_path / "out" / "results.json"
+    harness_report.save_results(str(path), results)
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in [tmp_path / "out" / w.split("/")[-1] for w in written] + [path]
+    }
+    assert [w.split("/")[-1] for w in written] == list(GOLDEN_REPORT_SHA256)[:-1]
+    assert digests == GOLDEN_REPORT_SHA256
+
+    loaded = harness_report.load_results(str(path))
+    harness_report.save_results(str(tmp_path / "again.json"), loaded)
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    rewritten = harness_report.emit_report(loaded, str(tmp_path / "re"))
+    for w in rewritten:
+        name = w.split("/")[-1]
+        assert hashlib.sha256((tmp_path / "re" / name).read_bytes()).hexdigest() == digests[name]
 
 
 def test_failed_result_row_in_metrics_csv(tmp_path):

@@ -219,9 +219,7 @@ def write_manifest(out_dir: str, command: str, seed: int, args: dict) -> str:
         "args": args,
     }
     path = os.path.join(out_dir, "run_manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    harness_report.write_json(path, payload)
     return path
 
 
@@ -309,10 +307,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         ingest.save_github_events(os.path.join(args.out, spec.github_ndjson), events)
         config_coins.append(asdict(spec))
         print(f"{name}: {args.days} days, {len(comments)} comments, {len(events)} events")
-    config_path = os.path.join(args.out, "config.json")
-    with open(config_path, "w", encoding="utf-8") as fh:
-        json.dump({"coins": config_coins}, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    harness_report.write_json(os.path.join(args.out, "config.json"), {"coins": config_coins})
     write_manifest(args.out, "synth", seed, {"days": args.days, "coins": args.coins})
     print(f"wrote {args.out}/config.json")
     return 0

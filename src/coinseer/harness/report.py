@@ -1,7 +1,9 @@
 """Report emission: ranking and metrics CSVs, prediction files, SVG plots.
 
 Every byte written here is a pure function of the results, so reruns of
-the same experiments produce identical files.
+the same experiments produce identical files. ``write_json`` is the one
+writer of JSON records: results.json here, and the CLI's run manifests
+and synth config.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from dataclasses import asdict
 from datetime import date
 from typing import Sequence
 
@@ -28,57 +31,42 @@ _CI_NOTE = (
     "squared percentage error over 2*rmspe (delta method)."
 )
 
+#: The MetricsReport fields of metrics.csv, in column order.
+_METRIC_COLUMNS = ("mape", "mape_ci", "rmspe", "rmspe_ci", "maxape", "rmse", "n")
+
 _TRUTH_COLOR = "#1f77b4"
 _PRED_COLOR = "#d62728"
 
 
+def write_json(path: str, payload: dict) -> None:
+    """Write one JSON record: sorted keys, one-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def result_to_dict(result: ExperimentResult) -> dict:
-    cfg = result.config
-    return {
-        "config": {
-            "coin": cfg.coin,
-            "model_kind": cfg.model_kind,
-            "signal_set": list(cfg.signal_set),
-            "k": cfg.k,
-            "j": cfg.j,
-        },
-        "metrics": None if result.metrics is None else vars(result.metrics).copy(),
-        "predictions": [
-            [d.isoformat(), t, p] for d, t, p in result.predictions
-        ],
-        "train_summary": result.train_summary,
-        "error": result.error,
-    }
+    predictions = [[d.isoformat(), t, p] for d, t, p in result.predictions]
+    return {**asdict(result), "predictions": predictions}
 
 
 def result_from_dict(obj: dict) -> ExperimentResult:
-    cfg = ExperimentConfig(
-        coin=obj["config"]["coin"],
-        model_kind=obj["config"]["model_kind"],
-        signal_set=tuple(obj["config"]["signal_set"]),
-        k=int(obj["config"]["k"]),
-        j=int(obj["config"]["j"]),
-    )
+    cfg = obj["config"]
     raw = obj.get("metrics")
-    report = None if raw is None else MetricsReport(**raw)
     predictions = tuple(
         (date.fromisoformat(d), float(t), float(p))
         for d, t, p in obj.get("predictions", [])
     )
-    return ExperimentResult(
-        config=cfg,
-        metrics=report,
-        predictions=predictions,
-        train_summary=obj.get("train_summary", {}),
-        error=obj.get("error"),
-    )
+    return ExperimentResult(**{
+        **obj,
+        "config": ExperimentConfig(**{**cfg, "signal_set": tuple(cfg["signal_set"])}),
+        "metrics": None if raw is None else MetricsReport(**raw),
+        "predictions": predictions,
+    })
 
 
 def save_results(path: str, results: Sequence[ExperimentResult]) -> None:
-    payload = {"results": [result_to_dict(r) for r in results]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, {"results": [result_to_dict(r) for r in results]})
 
 
 def load_results(path: str) -> list[ExperimentResult]:
@@ -107,12 +95,9 @@ def write_ranking_csv(path: str, rows: Sequence[RankRow]) -> None:
 
 
 def write_metrics_csv(path: str, results: Sequence[ExperimentResult]) -> None:
-    header = (
-        "coin,model,signals,k,j,mape,mape_ci,rmspe,rmspe_ci,maxape,rmse,n,error"
-    ).split(",")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(["coin", "model", "signals", "k", "j", *_METRIC_COLUMNS, "error"])
         for result in results:
             cfg = result.config
             base = [
@@ -123,22 +108,11 @@ def write_metrics_csv(path: str, results: Sequence[ExperimentResult]) -> None:
                 str(cfg.j),
             ]
             if result.metrics is None:
-                writer.writerow(base + [""] * 7 + [result.error or "failed"])
+                writer.writerow(base + [""] * len(_METRIC_COLUMNS) + [result.error or "failed"])
             else:
-                m = result.metrics
-                writer.writerow(
-                    base
-                    + [
-                        _fmt(m.mape),
-                        _fmt(m.mape_ci),
-                        _fmt(m.rmspe),
-                        _fmt(m.rmspe_ci),
-                        _fmt(m.maxape),
-                        _fmt(m.rmse),
-                        str(m.n),
-                        "",
-                    ]
-                )
+                values = [getattr(result.metrics, name) for name in _METRIC_COLUMNS]
+                cells = [str(v) if isinstance(v, int) else _fmt(v) for v in values]
+                writer.writerow(base + cells + [""])
 
 
 def write_predictions_csv(path: str, result: ExperimentResult) -> None:
@@ -158,6 +132,28 @@ def _ticks(lo: float, hi: float, count: int) -> list[float]:
         return [lo]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
+
+
+def _svg_line(
+    x1: float, y1: float, x2: float, y2: float, stroke: str, width: int | None = None
+) -> str:
+    stroke_width = "" if width is None else f' stroke-width="{width}"'
+    return (
+        f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
+        f'y2="{y2:.2f}" stroke="{stroke}"{stroke_width}/>'
+    )
+
+
+def _svg_text(
+    x: float, y: float, body: str, size: int, anchor: str | None = "middle", rotate: bool = False
+) -> str:
+    """One <text> element; ``rotate`` turns it a quarter turn about (x, y)."""
+    text_anchor = "" if anchor is None else f' text-anchor="{anchor}"'
+    transform = f' transform="rotate(-90 {x:.2f} {y:.2f})"' if rotate else ""
+    return (
+        f'<text x="{x:.2f}" y="{y:.2f}"{text_anchor} font-family="sans-serif" '
+        f'font-size="{size}"{transform}>{body}</text>'
+    )
 
 
 def render_line_plot(
@@ -201,44 +197,19 @@ def render_line_plot(
         f'font-family="sans-serif" font-size="14">{_svg_escape(title)}</text>',
     ]
     axis = "#333333"
-    parts.append(
-        f'<line x1="{left:.2f}" y1="{top:.2f}" x2="{left:.2f}" '
-        f'y2="{top + plot_h:.2f}" stroke="{axis}"/>'
-    )
-    parts.append(
-        f'<line x1="{left:.2f}" y1="{top + plot_h:.2f}" x2="{left + plot_w:.2f}" '
-        f'y2="{top + plot_h:.2f}" stroke="{axis}"/>'
-    )
+    parts.append(_svg_line(left, top, left, top + plot_h, axis))
+    parts.append(_svg_line(left, top + plot_h, left + plot_w, top + plot_h, axis))
     for v in _ticks(lo, hi, 5):
         y = y_at(v)
-        parts.append(
-            f'<line x1="{left - 4:.2f}" y1="{y:.2f}" x2="{left:.2f}" '
-            f'y2="{y:.2f}" stroke="{axis}"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8:.2f}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{v:.6g}</text>'
-        )
+        parts.append(_svg_line(left - 4, y, left, y, axis))
+        parts.append(_svg_text(left - 8, y + 4, f"{v:.6g}", 10, anchor="end"))
     stride = max(1, (n + 5) // 6)
     for i in range(0, n, stride):
         x = x_at(i)
-        parts.append(
-            f'<line x1="{x:.2f}" y1="{top + plot_h:.2f}" x2="{x:.2f}" '
-            f'y2="{top + plot_h + 4:.2f}" stroke="{axis}"/>'
-        )
-        parts.append(
-            f'<text x="{x:.2f}" y="{top + plot_h + 18:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="10">{dates[i].isoformat()}</text>'
-        )
-    parts.append(
-        f'<text x="{left / 4:.2f}" y="{top + plot_h / 2:.2f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="11" '
-        f'transform="rotate(-90 {left / 4:.2f} {top + plot_h / 2:.2f})">USD</text>'
-    )
-    parts.append(
-        f'<text x="{left + plot_w / 2:.2f}" y="{height - 14:.2f}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="11">date</text>'
-    )
+        parts.append(_svg_line(x, top + plot_h, x, top + plot_h + 4, axis))
+        parts.append(_svg_text(x, top + plot_h + 18, dates[i].isoformat(), 10))
+    parts.append(_svg_text(left / 4, top + plot_h / 2, "USD", 11, rotate=True))
+    parts.append(_svg_text(left + plot_w / 2, height - 14, "date", 11))
     parts.append(polyline(truth, _TRUTH_COLOR))
     parts.append(polyline(preds, _PRED_COLOR))
     for i, v in enumerate(preds):
@@ -251,14 +222,8 @@ def render_line_plot(
         (("true", _TRUTH_COLOR), ("predicted", _PRED_COLOR))
     ):
         y = top + 10 + 16 * row
-        parts.append(
-            f'<line x1="{legend_x:.2f}" y1="{y:.2f}" x2="{legend_x + 22:.2f}" '
-            f'y2="{y:.2f}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 28:.2f}" y="{y + 4:.2f}" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
+        parts.append(_svg_line(legend_x, y, legend_x + 22, y, color, width=2))
+        parts.append(_svg_text(legend_x + 28, y + 4, label, 11, anchor=None))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -306,24 +271,20 @@ def emit_report(results: Sequence[ExperimentResult], out_dir: str) -> list[str]:
         raise ValueError("nothing to report")
     os.makedirs(out_dir, exist_ok=True)
     rows = rank_models(results)
-    written = []
-    path = os.path.join(out_dir, "ranking.csv")
-    write_ranking_csv(path, rows)
-    written.append(path)
-    path = os.path.join(out_dir, "metrics.csv")
-    write_metrics_csv(path, results)
-    written.append(path)
-    path = os.path.join(out_dir, "report.txt")
-    write_summary_txt(path, rows, results)
-    written.append(path)
+    files = [
+        ("ranking.csv", write_ranking_csv, (rows,)),
+        ("metrics.csv", write_metrics_csv, (results,)),
+        ("report.txt", write_summary_txt, (rows, results)),
+    ]
     for result in results:
         if result.metrics is None:
             continue
         cid = config_id(result.config)
-        path = os.path.join(out_dir, f"predictions_{cid}.csv")
-        write_predictions_csv(path, result)
-        written.append(path)
-        path = os.path.join(out_dir, f"plot_{cid}.svg")
-        write_plot_svg(path, result)
+        files.append((f"predictions_{cid}.csv", write_predictions_csv, (result,)))
+        files.append((f"plot_{cid}.svg", write_plot_svg, (result,)))
+    written = []
+    for name, write, args in files:
+        path = os.path.join(out_dir, name)
+        write(path, *args)
         written.append(path)
     return written

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
@@ -105,11 +106,13 @@ def load_price_series(path: str, coin: str) -> PriceSeries:
     """Read a daily OHLC CSV (header: date,open,high,low,close).
 
     Rows may arrive in any order; the result is sorted by date. Duplicate
-    dates, malformed rows, and price rows violating low <= open,close <= high
-    or low <= 0 are reported with their line number.
+    dates, malformed rows (a byte that is not UTF-8 makes its row
+    malformed), and price rows holding a non-finite value or violating
+    low <= open,close <= high or low <= 0 are reported with their line
+    number.
     """
     rows: dict[date, tuple[float, float, float, float]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -129,6 +132,8 @@ def load_price_series(path: str, coin: str) -> PriceSeries:
                 raise IngestError(f"{path}: malformed row at line {lineno}") from None
             if day in rows:
                 raise IngestError(f"{path}: duplicate date {day} at line {lineno}")
+            if not all(math.isfinite(v) for v in (o, h, l, c)):
+                raise IngestError(f"{path}: non-finite price at line {lineno}")
             if l <= 0:
                 raise IngestError(f"{path}: non-positive price at line {lineno}")
             if h < l:
@@ -191,6 +196,14 @@ def _parse_epoch(value: object) -> int:
     raise ValueError(f"bad timestamp type {type(value).__name__}")
 
 
+def _parse_score(value: object) -> int:
+    """A whole-number score from an int, an integral float, or an integer
+    string."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"score {value!r} is not a whole number")
+    return int(value)
+
+
 def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) -> list:
     """The records ``parse`` makes of an NDJSON file's objects, sorted.
 
@@ -206,12 +219,13 @@ def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) ->
     cannot read; its line is skipped and counted. Every other line is
     foreign and is not decoded; it counts as skipped only if it is not
     shaped like an object (it does not start with ``{`` and end with
-    ``}``). Every non-blank line counts toward the total, and more than 1%
-    skipped lines rejects the file."""
+    ``}``). A decoded line that is not valid UTF-8 is skipped and counted,
+    so a compressed file fails the limit. Every non-blank line counts
+    toward the total, and more than 1% skipped lines rejects the file."""
     slash = "/" in want
     records = []
     skipped = total = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             line = line.strip()
             if not line:
@@ -222,6 +236,8 @@ def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) ->
                     skipped += 1
                 continue
             try:
+                if not line.isascii():
+                    line.encode("utf-8")  # UnicodeEncodeError on an undecodable byte
                 record = parse(json.loads(line))
             except (ValueError, KeyError, TypeError, OverflowError):
                 skipped += 1
@@ -254,7 +270,8 @@ def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:
     decoded, and counts as skipped only if it is not shaped like an object
     ({...}). A decoded line that is not valid JSON, lacks
     created_utc/subreddit/body/score, or holds a time outside 1970..9999
-    or a score that float64 cannot hold is skipped and counted. More than
+    or a score that is not a whole number or that float64 cannot hold is
+    skipped and counted. More than
     1% skipped lines rejects the file. The result is sorted by the full
     record tuple, so any shuffling of the input lines yields an identical
     list.
@@ -265,7 +282,7 @@ def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:
         created = _parse_epoch(obj["created_utc"])
         sub = obj["subreddit"]
         body = obj["body"]
-        score = int(obj["score"])
+        score = _parse_score(obj["score"])
         if not isinstance(sub, str) or not isinstance(body, str):
             raise ValueError("bad field type")
         if abs(score) > sys.float_info.max:  # comment_table holds scores as float64

@@ -1,5 +1,6 @@
 """Archive loaders: CSV prices, reddit NDJSON, GitHub Archive NDJSON."""
 
+import gzip
 import json
 from datetime import date, datetime, timezone
 
@@ -14,7 +15,9 @@ from oracles import day_of
 
 
 def write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write lines as UTF-8; a surrogate escape such as "\udcff" writes
+    the raw byte it stands for (0xff), which is not UTF-8."""
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
 
 
 def price_csv(path, rows):
@@ -83,12 +86,33 @@ def test_price_loader_rejects_bad_rows(tmp_path):
         ("2021-01-01,20,10.5,9.5,10.2", "open exceeds high at line 2"),
         ("2021-01-01,10,10.5,9.5,1.2", "close below low at line 2"),
         ("2021-01-01,10,9.0,9.5,9.6", "high below low at line 2"),
+        ("2021-01-01,nan,nan,nan,nan", "non-finite price at line 2"),
+        ("2021-01-01,10,inf,9.5,10.2", "non-finite price at line 2"),
+        ("2021-01-01,10,1e999,9.5,10.2", "non-finite price at line 2"),
+        ("2021-01-01,10\udcff,10.5,9.5,10.2", "malformed row at line 2"),
     ]
     for row, message in cases:
         src = tmp_path / "bad.csv"
         price_csv(src, [row])
         with pytest.raises(ingest.IngestError, match=message):
             ingest.load_price_series(str(src), "btc")
+
+
+def test_compressed_inputs_fail_with_the_file_named(tmp_path):
+    day = date(2021, 1, 1)
+    price = tmp_path / "price.csv"
+    price_csv(price, ["2021-01-01,10,10.5,9.5,10.2"])
+    packed = tmp_path / "price.csv.gz"
+    packed.write_bytes(gzip.compress(price.read_bytes()))
+    with pytest.raises(ingest.IngestError, match=f"^{packed}: expected header"):
+        ingest.load_price_series(str(packed), "btc")
+    for github, make in ((False, comment_line), (True, event_line)):
+        plain = tmp_path / "plain.ndjson"
+        write_lines(plain, [make(day, hour=h % 24) for h in range(500)])
+        packed = tmp_path / f"{github}.ndjson.gz"
+        packed.write_bytes(gzip.compress(plain.read_bytes()))
+        with pytest.raises(ingest.IngestError, match=f"^{packed}: .* lines unreadable"):
+            load(github, packed)
 
 
 def test_price_loader_rejects_duplicates_and_bad_header(tmp_path):
@@ -245,9 +269,11 @@ def both_names(created_utc, score="1", created_at='"junk"'):
 
 #: Unreadable lines that count toward the limit: the first two are not
 #: shaped like objects, and the objects name both wanted names, so both
-#: loaders decode them. The last six hold a number out of range (an
-#: infinite or post-9999 time, or a score that float64 cannot hold) or a
-#: created_at that is not a string.
+#: loaders decode them. Six hold a number out of range (an infinite or
+#: post-9999 time, or a score that float64 cannot hold) or a created_at
+#: that is not a string. Then come two scores that are not whole numbers,
+#: and a line that both loaders would keep but for two bytes that are not
+#: UTF-8.
 BAD_LINES = (
     "{broken",
     "[1, 2]",
@@ -260,6 +286,11 @@ BAD_LINES = (
     both_names("1609459200", score="1" + "0" * 400),
     both_names('"x"', created_at='"9999-12-31T23:59:59-01:00"'),
     both_names('"x"', created_at="1609459200"),
+    both_names("1609459200", score="true"),
+    both_names("1609459200", score="2.9"),
+    both_names("1609459200", created_at='"2021-01-01T12:00:00Z"').replace(
+        '"body":"x"', '"body":"\udcff\udcfe"'
+    ),
 )
 
 

@@ -271,10 +271,9 @@ def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:
     ({...}). A decoded line that is not valid JSON, lacks
     created_utc/subreddit/body/score, or holds a time outside 1970..9999
     or a score that is not a whole number or that float64 cannot hold is
-    skipped and counted. More than
-    1% skipped lines rejects the file. The result is sorted by the full
-    record tuple, so any shuffling of the input lines yields an identical
-    list.
+    skipped and counted. More than 1% skipped lines rejects the file. The
+    result is sorted by the full record tuple, so any shuffling of the
+    input lines yields an identical list.
     """
     want = subreddit.lower()
 

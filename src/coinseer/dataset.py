@@ -107,7 +107,8 @@ def make_windows(matrix: SignalMatrix, targets: np.ndarray, k: int, j: int) -> W
     """Enumerate every supervised sample the series supports.
 
     Anchors run from row k-1 through row n-1-j, so sample s is anchored
-    at row k-1+s; sample count is n - k - j + 1.
+    at row k-1+s; sample count is n - k - j + 1. ``inputs`` is a
+    read-only view of ``matrix.values``.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -120,9 +121,11 @@ def make_windows(matrix: SignalMatrix, targets: np.ndarray, k: int, j: int) -> W
     count = n - k - j + 1
     if count < 1:
         raise ValueError(f"series of {n} days too short for k={k}, j={j}")
+    # a read-only strided view: the (anchors, k, features) tensor is never
+    # copied whole, and a training batch's gather copies only its rows
     windows = np.lib.stride_tricks.sliding_window_view(matrix.values, k, axis=0)
     return WindowedDataset(
-        inputs=windows[:count].transpose(0, 2, 1).copy(),
+        inputs=windows[:count].transpose(0, 2, 1),
         targets=y[k - 1 + j :].copy(),
         anchor_dates=matrix.dates[k - 1 : n - j],
         k=k,

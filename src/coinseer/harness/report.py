@@ -70,9 +70,14 @@ def save_results(path: str, results: Sequence[ExperimentResult]) -> None:
 
 
 def load_results(path: str) -> list[ExperimentResult]:
+    """Inverse of save_results; a file of another shape is a ValueError
+    that names it."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    return [result_from_dict(obj) for obj in payload["results"]]
+    try:
+        return [result_from_dict(obj) for obj in payload["results"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a results file ({type(exc).__name__}: {exc})") from None
 
 
 def _fmt(value: float) -> str:

@@ -13,8 +13,21 @@ All parameters live in one contiguous float64 buffer laid out
 ``w1,b1,w2,b2,...,wd,bd | u1,u2,...``; ``Network.params`` holds named,
 reshaped views into it. With one-step windows (k=1) the recurrent
 weights ``u*`` never act, because the initial hidden state is zero, so
-training reads and writes only the *live span*: the prefix before
-``u1``. For k > 1 the whole buffer is live.
+the *live span* is the prefix before ``u1``. For k > 1 the whole buffer
+is live, and training runs over it in place.
+
+At k=1 the forget gate is dead as well: it only scales the zero initial
+cell (Gers, Schmidhuber & Cummins 2000), so its columns never change.
+Training then works on a packed copy of what acts, each layer's i|g|o
+weights and biases followed by ``wd`` and ``bd`` (``_OneStepSpan``),
+with a one-step forward and backward that skip the f gate, and copies
+the best epoch's values back into the buffer at the end.
+``forward_batch`` and ``backward`` still serve k > 1, ``predict`` and
+``forecast``. The span's products give the same bits as the same
+columns of the four-gate products wherever the BLAS computes a column
+alike at both widths: with OpenBLAS 0.3.31 on x86-64, at layer sizes
+that are multiples of 8 (tried: 8 to 48, and the default 400,800). At
+other sizes the last bit can differ.
 """
 
 from __future__ import annotations
@@ -24,7 +37,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from typing import BinaryIO, NamedTuple, Sequence
+from functools import partial
+from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,15 +82,13 @@ class Network:
         self.params = _views(self.flat, self._layout)
 
     def live_size(self, k: int) -> int:
-        """Length of the prefix of ``flat`` that k-step windows can train."""
+        """Length of the prefix of ``flat`` that acts on k-step windows, and
+        so of the gradient ``backward`` writes."""
         return self._layout["u1"][0] if k == 1 else self.flat.size
 
     def locate(self, index: int) -> tuple[str, int]:
         """Parameter name and element index of position ``index`` in ``flat``."""
-        for key, (offset, shape) in self._layout.items():
-            if offset <= index < offset + math.prod(shape):
-                return key, index - offset
-        raise IndexError(f"position {index} is outside the parameter buffer")
+        return _locate(self._layout, index)
 
 
 class LayerCache(NamedTuple):
@@ -113,6 +125,13 @@ def _layout(input_dim: int, sizes: Sequence[int]) -> Layout:
     return {key: (offsets[key], shape) for key, shape in shapes.items()}
 
 
+def _locate(layout: Layout, index: int) -> tuple[str, int]:
+    for key, (offset, shape) in layout.items():
+        if offset <= index < offset + math.prod(shape):
+            return key, index - offset
+    raise IndexError(f"position {index} is outside the parameter buffer")
+
+
 def _views(buffer: np.ndarray, layout: Layout) -> ParamDict:
     """Named views into ``buffer``; parameters past its end read as zeros."""
     views: ParamDict = {}
@@ -132,16 +151,22 @@ def init_network(
     rng = np.random.default_rng(seed)
     net = Network(input_dim, tuple(sizes))
     params = net.params
+
+    def uniform(key: str, lim: float) -> None:
+        # numpy's own rng.uniform(-lim, lim) arithmetic, low + range·u, in
+        # the same draw order, written straight into the parameter's view
+        view = params[key]
+        rng.random(out=view)
+        view *= lim - (-lim)
+        view += -lim
+
     prev = input_dim
     for li, h in enumerate(sizes, start=1):
-        lim_w = math.sqrt(6.0 / (prev + 4 * h))
-        lim_u = math.sqrt(6.0 / (h + 4 * h))
-        params[f"w{li}"][...] = rng.uniform(-lim_w, lim_w, (prev, 4 * h))
-        params[f"u{li}"][...] = rng.uniform(-lim_u, lim_u, (h, 4 * h))
+        uniform(f"w{li}", math.sqrt(6.0 / (prev + 4 * h)))
+        uniform(f"u{li}", math.sqrt(6.0 / (h + 4 * h)))
         params[f"b{li}"][h : 2 * h] = 1.0
         prev = h
-    lim_d = math.sqrt(6.0 / (prev + 1))
-    params["wd"][...] = rng.uniform(-lim_d, lim_d, prev)
+    uniform("wd", math.sqrt(6.0 / (prev + 1)))
     return net
 
 
@@ -276,6 +301,127 @@ def backward(
         if li > 1:
             d_seq = (stacked @ net.params[f"w{li}"].T).reshape(lc.inputs.shape)
     return grads
+
+
+def _igo_pairs(full: np.ndarray, packed: np.ndarray, h: int):
+    """(canonical, packed) views of the i and of the g|o gate columns."""
+    return ((full[..., :h], packed[..., :h]), (full[..., 2 * h :], packed[..., h:]))
+
+
+class _OneStepSpan:
+    """The parameters that one-step windows train, packed contiguously.
+
+    ``flat`` holds each layer's i|g|o weights ``w<l>`` (in, 3h) and
+    biases ``b<l>`` (3h,), then ``wd`` and ``bd``; ``params`` names its
+    views. ``forward`` and ``backward`` are forward_batch and backward at
+    k=1 without the forget gate (see the module docstring for when their
+    bits agree). The layer-l input gradient (l > 1) still runs as
+    ``dz @ w.T`` over the full i|f|g|o width with zero f columns, because
+    a product over i|g|o alone blocks its sum differently and changes its
+    last bits (so at 400,800); so ``backward`` first copies the span's
+    i|g|o columns of ``w<l>`` into the network.
+    """
+
+    def __init__(self, net: Network) -> None:
+        self.net = net
+        shapes: dict[str, tuple[int, ...]] = {}
+        prev = net.input_dim
+        for li, h in enumerate(net.sizes, start=1):
+            shapes[f"w{li}"] = (prev, 3 * h)
+            shapes[f"b{li}"] = (3 * h,)
+            prev = h
+        shapes["wd"] = (prev,)
+        shapes["bd"] = (1,)
+        self._layout: Layout = {}
+        offset = 0
+        for key, shape in shapes.items():
+            self._layout[key] = (offset, shape)
+            offset += math.prod(shape)
+        self.flat = np.empty(offset)
+        self.params = _views(self.flat, self._layout)
+        for full, packed in self._pairs():
+            packed[...] = full
+
+    def _pairs(self):
+        """(canonical, packed) views that together cover the span."""
+        for li, h in enumerate(self.net.sizes, start=1):
+            for key in (f"w{li}", f"b{li}"):
+                yield from _igo_pairs(self.net.params[key], self.params[key], h)
+        for key in ("wd", "bd"):
+            yield self.net.params[key], self.params[key]
+
+    def unpack(self) -> None:
+        """Copy the span into the network's parameters."""
+        for full, packed in self._pairs():
+            full[...] = packed
+
+    def locate(self, index: int) -> tuple[str, int]:
+        """Parameter name and canonical element index of span position ``index``."""
+        key, element = _locate(self._layout, index)
+        if key in ("wd", "bd"):
+            return key, element
+        h = self.net.sizes[int(key[1:]) - 1]
+        row, col = divmod(element, 3 * h)
+        return key, row * 4 * h + col + (h if col >= h else 0)
+
+    def forward(self, windows: np.ndarray) -> tuple[np.ndarray, tuple[LayerCache, ...]]:
+        """forward_batch for windows shaped (batch, 1, input_dim); the
+        caches hold 2-D (batch, ·) arrays and i|g|o gates."""
+        layers: list[LayerCache] = []
+        seq = windows[:, 0]
+        for li, h in enumerate(self.net.sizes, start=1):
+            z = seq @ self.params[f"w{li}"]
+            z += self.params[f"b{li}"]
+            _sigmoid(z[:, :h], out=z[:, :h])
+            np.tanh(z[:, h : 2 * h], out=z[:, h : 2 * h])
+            _sigmoid(z[:, 2 * h :], out=z[:, 2 * h :])
+            c = z[:, :h] * z[:, h : 2 * h]
+            # forward_batch's forget term: a -0.0 product becomes a +0.0 cell
+            c += 0.0
+            ct = np.tanh(c)
+            hidden = z[:, 2 * h :] * ct
+            layers.append(LayerCache(seq, z, c, ct, hidden))
+            seq = hidden
+        preds = seq @ self.params["wd"] + self.params["bd"][0]
+        return preds, tuple(layers)
+
+    def backward(
+        self, layers: tuple[LayerCache, ...], d: np.ndarray, out: np.ndarray
+    ) -> None:
+        """backward at k=1 for prediction gradients ``d``, writing the
+        span's gradient into ``out``."""
+        batch = d.size
+        grads = _views(out, self._layout)
+        grads["wd"][...] = layers[-1].hidden.T @ d
+        grads["bd"][0] = d.sum()
+        d_in = d[:, None] * self.params["wd"][None, :]
+        for li in range(len(self.net.sizes), 0, -1):
+            lc = layers[li - 1]
+            h = self.net.sizes[li - 1]
+            gi = lc.gates[:, :h]
+            gg = lc.gates[:, h : 2 * h]
+            go = lc.gates[:, 2 * h :]
+            ct = lc.cell_tanh
+            # backward adds these to its zero recurrent gradients dh and dc,
+            # which turns a -0.0 into +0.0
+            dh = d_in + 0.0
+            do = dh * ct
+            dc = dh * go * (1.0 - ct * ct) + 0.0
+            dz = np.empty((batch, 3 * h))
+            dz[:, :h] = dc * gg * gi * (1.0 - gi)
+            dz[:, h : 2 * h] = dc * gi * (1.0 - gg * gg)
+            dz[:, 2 * h :] = do * go * (1.0 - go)
+            np.matmul(lc.inputs.T, dz, out=grads[f"w{li}"])
+            np.sum(dz, axis=0, out=grads[f"b{li}"])
+            # the first layer's input gradient would reach only the data
+            if li > 1:
+                w = self.net.params[f"w{li}"]
+                for full, packed in _igo_pairs(w, self.params[f"w{li}"], h):
+                    full[...] = packed
+                dz_full = np.zeros((batch, 4 * h))
+                for full, packed in _igo_pairs(dz_full, dz, h):
+                    full[...] = packed
+                d_in = dz_full @ w.T
 
 
 #: Adam's moment decay rates and denominator offset (Kingma & Ba 2015).
@@ -440,13 +586,17 @@ def train(
 
     Shuffles sample order each epoch from config.seed, averages gradients
     within each batch, and restores the parameters of the best validation
-    epoch before returning. The passed network is trained in place; only
-    its live span (``net.live_size(k)``) is read or written, so with k=1
-    the recurrent weights keep their initial values. Each epoch's MSEs
-    and the best epoch are logged at debug level.
+    epoch before returning. The passed network is trained in place. With
+    k=1 only the packed one-step span (see the module docstring) is
+    trained and then copied back, so the recurrent weights and the
+    forget-gate columns keep their initial values; for k > 1 every
+    parameter trains. Each epoch's MSEs and the best epoch are logged at
+    debug level.
     """
     if fit_set.feature_names != val_set.feature_names:
         raise ValueError("fit and validation feature names differ")
+    if fit_set.k != val_set.k:
+        raise ValueError("fit and validation window sizes differ")
     if len(fit_set.feature_names) != net.input_dim:
         raise ValueError(
             f"network expects {net.input_dim} features, "
@@ -454,13 +604,48 @@ def train(
         )
     if len(fit_set) < 1 or len(val_set) < 1:
         raise ValueError("fit and validation sets must be nonempty")
+    if fit_set.k == 1:
+        span = _OneStepSpan(net)
+        history, best_epoch = _fit(
+            span.flat, span.forward, span.backward, span.locate, fit_set, val_set, config
+        )
+        span.unpack()
+    else:
+        history, best_epoch = _fit(
+            net.flat, partial(forward_batch, net), partial(backward, net), net.locate,
+            fit_set, val_set, config,
+        )
+    return TrainedModel(
+        network=net,
+        norm=norm,
+        history=history,
+        best_epoch=best_epoch,
+        k=fit_set.k,
+        j=fit_set.j,
+        train_end=fit_set.anchor_dates[-1],
+    )
+
+
+def _fit(
+    span: np.ndarray,
+    forward: Callable[[np.ndarray], tuple[np.ndarray, tuple[LayerCache, ...]]],
+    backward: Callable[..., object],
+    locate: Callable[[int], tuple[str, int]],
+    fit_set: WindowedDataset,
+    val_set: WindowedDataset,
+    config: TrainConfig,
+) -> tuple[tuple[EpochStats, ...], int]:
+    """train's epoch loop over the parameter buffer ``span``, which
+    ``forward(windows)`` reads and whose gradient
+    ``backward(cache, d_preds, out=grad)`` writes; ``locate`` names a
+    span position. Leaves the best epoch's values in ``span`` and returns
+    the history and the best epoch."""
     rng = np.random.default_rng(config.seed)
-    live = net.flat[: net.live_size(fit_set.inputs.shape[1])]
-    grad = np.empty(live.size)
-    params, grads = {"live": live}, {"live": grad}
+    grad = np.empty(span.size)
+    params, grads = {"live": span}, {"live": grad}
     state = init_adam(params)
     stopper = EarlyStopper(config.patience)
-    best = live.copy()
+    best = span.copy()
     history: list[EpochStats] = []
     n = len(fit_set)
     step = 0
@@ -469,16 +654,16 @@ def train(
         sse = 0.0
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            preds, cache = forward_batch(net, fit_set.inputs[idx])
+            preds, cache = forward(fit_set.inputs[idx])
             resid = preds - fit_set.targets[idx]
             sse += float(resid @ resid)
-            backward(net, cache, (2.0 / idx.size) * resid, out=grad)
+            backward(cache, (2.0 / idx.size) * resid, out=grad)
             step += 1
             try:
                 adam_step(params, grads, state, step, config)
             except NonFiniteGradient as exc:
-                raise NonFiniteGradient(*net.locate(exc.index)) from None
-        val_preds, _ = forward_batch(net, val_set.inputs)
+                raise NonFiniteGradient(*locate(exc.index)) from None
+        val_preds, _ = forward(val_set.inputs)
         val_resid = val_preds - val_set.targets
         val_mse = float(val_resid @ val_resid) / val_resid.size
         if not math.isfinite(val_mse):
@@ -486,20 +671,12 @@ def train(
         history.append(EpochStats(epoch, sse / n, val_mse))
         log.debug("epoch %d: train MSE %.6g, validation MSE %.6g", epoch, sse / n, val_mse)
         if stopper.update(val_mse):
-            np.copyto(best, live)
+            np.copyto(best, span)
         if stopper.should_stop:
             break
-    np.copyto(live, best)
+    np.copyto(span, best)
     log.debug("best epoch %d of %d", stopper.best_epoch, len(history))
-    return TrainedModel(
-        network=net,
-        norm=norm,
-        history=tuple(history),
-        best_epoch=stopper.best_epoch,
-        k=fit_set.k,
-        j=fit_set.j,
-        train_end=fit_set.anchor_dates[-1],
-    )
+    return tuple(history), stopper.best_epoch
 
 
 def predict(model: TrainedModel, windows: np.ndarray) -> np.ndarray:

@@ -293,6 +293,34 @@ def test_train_then_forecast_round_trip(tmp_path, capsys):
     assert isinstance(payload["prediction_usd"], float)
 
 
+# sha256 of the model file and of the forecast line of a small
+# `train --synthetic` run per window size, recorded before k=1 training
+# moved to its packed one-step span (numpy 2.4.6, OpenBLAS 0.3.31,
+# x86-64). At these layer sizes no product is large enough for OpenBLAS
+# to split, so the bytes do not depend on its thread count.
+TRAIN_FORECAST_SHA256 = {
+    "1": ("be157a29ee9fccbb71c54b91c5d99f096602a5a90d3354d4aa2f1be91c724dfe",
+          "9104c514a2906f79b236f3a0be98226d95de84a12dbff906eccde2ad7ee5dca4"),
+    "7": ("e02b421322361f79b5880e37edd1daef846eb43e303d87ee10e10e778108f9f7",
+          "bf6026d2e5d20455b74e90defa40ea8597c24777f91efcfff6fbf0e45f999f66"),
+}
+
+
+@pytest.mark.parametrize("k", sorted(TRAIN_FORECAST_SHA256))
+def test_train_and_forecast_bytes_match_record(tmp_path, capsys, k):
+    src = synth_dir(tmp_path, days=60, seed=3)
+    out = tmp_path / "trained"
+    assert run(["train", "--synthetic", "--days", "60", "--coins", "1", "--seed", "3",
+                "--signal-set", "gh_pop,r_vol", "--k", k, "--sizes", "8,16",
+                "--epochs", "3", "--out", str(out)]) == 0
+    (model,) = out.glob("model_*.bin")
+    capsys.readouterr()
+    assert run(["forecast", "--model", str(model), "--config", str(src / "config.json")]) == 0
+    line = capsys.readouterr().out
+    digests = tuple(hashlib.sha256(b).hexdigest() for b in (model.read_bytes(), line.encode()))
+    assert digests == TRAIN_FORECAST_SHA256[k]
+
+
 def record_matrices(monkeypatch):
     """Keep every training matrix and every matrix forecast rebuilds."""
     seen = {"trained": [], "rebuilt": []}
@@ -629,6 +657,22 @@ def test_ablate_end_to_end_and_report(tmp_path, capsys):
                 "--out", str(rep)]) == 0
     assert (rep / "ranking.csv").read_bytes() == (out1 / "ranking.csv").read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("payload, problem", [
+    ({"results": [{"metrics": None}]}, "KeyError: 'config'"),
+    ([1], "TypeError: list indices must be integers or slices, not str"),
+])
+def test_report_on_results_of_the_wrong_shape_names_the_file(tmp_path, capsys, payload, problem):
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as exc:
+        harness_report.load_results(str(path))
+    assert str(exc.value) == f"{path}: not a results file ({problem})"
+    out = tmp_path / "rep"
+    assert run(["report", "--results", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {exc.value}"]
+    assert not out.exists()
 
 
 def test_ablate_bytes_do_not_depend_on_jobs_or_blas_threads(tmp_path, capsys):

@@ -58,6 +58,9 @@ def test_make_windows_counts_and_alignment():
     ds = dataset.make_windows(matrix, targets, k, j)
     assert len(ds) == n - k - j + 1 == 6
     assert ds.inputs.shape == (6, k, 1)
+    # the windows are a read-only view of the matrix, not a copy
+    assert np.shares_memory(ds.inputs, matrix.values)
+    assert not ds.inputs.flags.writeable
     assert ds.anchor_dates[0] == matrix.dates[k - 1]
     assert ds.anchor_dates[-1] == matrix.dates[n - 1 - j]
     for s, anchor in enumerate(ds.anchor_dates):

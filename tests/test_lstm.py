@@ -348,15 +348,94 @@ def test_train_is_bitwise_equal_to_per_array_oracle(monkeypatch, sizes, k, chunk
         assert not np.array_equal(model.network.params["u1"], initial["u1"])
 
 
+@pytest.mark.parametrize("sizes", [(8,), (8, 16)])
+def test_one_step_train_with_a_one_row_last_batch_matches_per_array_oracle(sizes):
+    # 21 rows in batches of 5: the last batch is one row, so its forward
+    # products are matrix-vector products. Layer widths are multiples of
+    # 8, where the span's products are bitwise equal to the four-gate ones
+    # (see test_one_step_span_matches_the_four_gate_path).
+    rng = np.random.default_rng(19)
+    fit = random_task(rng, 21, 1, 3)
+    val = random_task(rng, 7, 1, 3)
+    config = lstm.TrainConfig(seed=4, batch_size=5, learning_rate=0.05,
+                              max_epochs=12, patience=3)
+    net = lstm.init_network(3, sizes, seed=8)
+    want_params, want_history, want_best = per_array_train(net, fit, val, config)
+    norm = NormParams(columns=("f0", "f1", "f2"), mins=np.zeros(3), maxs=np.ones(3))
+    model = lstm.train(net, fit, val, config, norm=norm)
+    assert model.history == want_history
+    assert model.best_epoch == want_best
+    for key, want in want_params.items():
+        assert model.network.params[key].tobytes() == want.tobytes(), key
+
+
+@pytest.mark.parametrize("sizes", [(8,), (8, 16), (5,), (4, 6)])
+def test_one_step_span_matches_the_four_gate_path(sizes):
+    # OpenBLAS (0.3.31, x86-64) gives a column of a product the same bits
+    # at width 3h as at 4h when h is a multiple of 8; at other widths it
+    # can round the last bit differently, mostly at one row
+    exact = all(h % 8 == 0 for h in sizes)
+
+    def same(got, want):
+        if exact:
+            return got.tobytes() == want.tobytes()
+        return np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    net = lstm.init_network(3, sizes, seed=5)
+    span = lstm._OneStepSpan(net)
+    # every span position holds the canonical element locate names
+    for pos in range(span.flat.size):
+        name, element = span.locate(pos)
+        assert span.flat[pos] == net.params[name].reshape(-1)[element], pos
+    live = set(range(net.live_size(1)))
+    located = {net._layout[name][0] + element
+               for name, element in map(span.locate, range(span.flat.size))}
+    assert len(located) == span.flat.size and located <= live
+    # what is left out is exactly the forget-gate columns
+    for pos in live - located:
+        name, element = net.locate(pos)
+        h = net.sizes[int(name[1:]) - 1]
+        assert name[0] in "wb" and h <= element % (4 * h) < 2 * h
+
+    rng = np.random.default_rng(len(sizes))
+    for batch in (1, 2, 7, 16):
+        windows = rng.normal(size=(batch, 1, 3))
+        want_preds, want_cache = lstm.forward_batch(net, windows)
+        got_preds, got_cache = span.forward(windows)
+        assert same(got_preds, want_preds), batch
+        d = rng.normal(size=batch)
+        want = lstm.backward(net, want_cache, d)
+        got = np.full(span.flat.size, np.nan)
+        span.backward(got_cache, d, out=got)
+        want_span = np.array([want[name].reshape(-1)[element]
+                              for name, element in map(span.locate, range(got.size))])
+        assert same(got, want_span), batch
+    before = net.flat.copy()
+    span.unpack()
+    assert net.flat.tobytes() == before.tobytes()
+    span.flat += 1.0
+    span.unpack()
+    changed = np.flatnonzero(net.flat != before)
+    assert sorted(changed) == sorted(located)
+
+
 # (k, position in the flat buffer, parameter, element) for net (2, (3, 4)):
 # the live span is 105 elements at k=1 and all 205 at k=3.
 POISON_SITES = [
     (1, 0, "w1", 0),
     (1, 104, "bd", 0),
+    (1, 82, "w2", 46),
     (3, 0, "w1", 0),
     (3, 204, "u2", 63),
     (3, 151, "u2", 10),
 ]
+
+
+# (parameter, canonical element) -> position in the k=1 span of net
+# (2, (3, 4)), which packs w1 (2, 9) at 0, b1 at 18, w2 (3, 12) at 27,
+# b2 at 63, wd at 75 and bd at 79. w2 element 46 is row 2, column 14 of
+# i|f|g|o (the o block), so column 10 of i|g|o: 27 + 2 * 12 + 10.
+ONE_STEP_SPAN_POSITION = {("w1", 0): 0, ("bd", 0): 79, ("w2", 46): 61}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -381,16 +460,19 @@ def test_non_finite_gradient_is_named_and_changes_nothing(monkeypatch, k, pos, n
     for was, now in zip(before, (live, state.m["live"], state.v["live"])):
         assert now.tobytes() == was.tobytes()
 
-    # train names the parameter the element belongs to
+    # train names the parameter the element belongs to; at k=1 the poison
+    # goes into the one-step span's gradient
     initial = net.flat.copy()
-    real_backward = lstm.backward
+    owner = lstm._OneStepSpan if k == 1 else lstm
+    span_pos = ONE_STEP_SPAN_POSITION[name, element] if k == 1 else pos
+    real_backward = owner.backward
 
     def poisoned_backward(*args, **kwargs):
         grads = real_backward(*args, **kwargs)
-        kwargs["out"][pos] = bad
+        kwargs["out"][span_pos] = bad
         return grads
 
-    monkeypatch.setattr(lstm, "backward", poisoned_backward)
+    monkeypatch.setattr(owner, "backward", poisoned_backward)
     ds = random_task(np.random.default_rng(2), 6, k, 2)
     norm = NormParams(columns=("f0", "f1"), mins=np.zeros(2), maxs=np.ones(2))
     with pytest.raises(ArithmeticError, match=rf"parameter {name} at element {element}$"):
@@ -476,6 +558,10 @@ def test_train_validates_inputs():
     config = lstm.TrainConfig()
     with pytest.raises(ValueError, match="feature names"):
         lstm.train(net, ds, other, config, norm=norm)
+    last_day = toy_dataset(ds.inputs[:, -1:], ds.targets, 1)
+    for fit, val in ((ds, last_day), (last_day, ds)):
+        with pytest.raises(ValueError, match="window sizes differ"):
+            lstm.train(net, fit, val, config, norm=norm)
     wide = lstm.init_network(3, (4,), seed=2)
     with pytest.raises(ValueError, match="features"):
         lstm.train(wide, ds, ds, config, norm=norm)

@@ -457,14 +457,6 @@ class AdamState:
     v: ParamDict
 
 
-def init_adam(params: ParamDict) -> AdamState:
-    # np.zeros maps fresh zero pages; zeros_like would write every element
-    return AdamState(
-        m={k: np.zeros(p.shape) for k, p in params.items()},
-        v={k: np.zeros(p.shape) for k, p in params.items()},
-    )
-
-
 class NonFiniteGradient(ArithmeticError):
     """A gradient element is NaN or infinite; raised before any update."""
 
@@ -641,11 +633,17 @@ def _fit(
     span position. Leaves the best epoch's values in ``span`` and returns
     the history and the best epoch."""
     rng = np.random.default_rng(config.seed)
-    grad = np.empty(span.size)
+    # One zeroed block (fresh zero pages) for the best-epoch copy, the
+    # gradient and Adam's moments. At the default sizes it is larger than
+    # glibc's largest mmap threshold (32 MiB), so it is one mapping that
+    # goes back to the OS when training ends; as separate arrays they
+    # could stay in the heap, and a forked worker's resident size then
+    # grew from one experiment to the next.
+    best, grad, m, v = np.zeros((4, span.size))
+    best[...] = span
     params, grads = {"live": span}, {"live": grad}
-    state = init_adam(params)
+    state = AdamState(m={"live": m}, v={"live": v})
     stopper = EarlyStopper(config.patience)
-    best = span.copy()
     history: list[EpochStats] = []
     n = len(fit_set)
     step = 0

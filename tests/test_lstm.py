@@ -217,11 +217,18 @@ def test_backward_matches_per_step_oracle(sizes, k):
                 assert err <= 1e-12 * np.abs(g).max(), (batch, key, err)
 
 
+def zero_adam(params):
+    return lstm.AdamState(
+        m={k: np.zeros(p.shape) for k, p in params.items()},
+        v={k: np.zeros(p.shape) for k, p in params.items()},
+    )
+
+
 def test_adam_known_single_step():
     config = lstm.TrainConfig(learning_rate=0.001)
     params = {"x": np.array([1.0])}
     grads = {"x": np.array([0.5])}
-    state = lstm.init_adam(params)
+    state = zero_adam(params)
     lstm.adam_step(params, grads, state, 1, config)
     m_hat = 0.5  # (0.1 * 0.5) / (1 - 0.9)
     v_hat = 0.25  # (0.001 * 0.25) / (1 - 0.999)
@@ -234,14 +241,14 @@ def test_adam_zero_lr_and_zero_grad_behavior():
     before = {k: p.copy() for k, p in net.params.items()}
     zero_cfg = lstm.TrainConfig(learning_rate=0.0)
     grads = {k: np.ones_like(p) for k, p in net.params.items()}
-    lstm.adam_step(net.params, grads, lstm.init_adam(net.params), 1, zero_cfg)
+    lstm.adam_step(net.params, grads, zero_adam(net.params), 1, zero_cfg)
     for key in before:
         npt.assert_array_equal(net.params[key], before[key])
 
     # an all-zero gradient with empty history leaves the array untouched
     config = lstm.TrainConfig()
     params = {"a": np.array([2.0]), "b": np.array([3.0])}
-    state = lstm.init_adam(params)
+    state = zero_adam(params)
     lstm.adam_step(params, {"a": np.zeros(1), "b": np.ones(1)}, state, 1, config)
     assert params["a"][0] == 2.0
     assert params["b"][0] != 3.0
@@ -449,7 +456,7 @@ def test_non_finite_gradient_is_named_and_changes_nothing(monkeypatch, k, pos, n
     # adam_step checks the whole gradient before it touches anything
     rng = np.random.default_rng(pos)
     params = {"live": live}
-    state = lstm.init_adam(params)
+    state = zero_adam(params)
     for t in (1, 2):
         lstm.adam_step(params, {"live": rng.normal(size=live.size)}, state, t, config)
     grad = rng.normal(size=live.size)

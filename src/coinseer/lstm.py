@@ -633,12 +633,10 @@ def _fit(
     span position. Leaves the best epoch's values in ``span`` and returns
     the history and the best epoch."""
     rng = np.random.default_rng(config.seed)
-    # One zeroed block (fresh zero pages) for the best-epoch copy, the
-    # gradient and Adam's moments. At the default sizes it is larger than
-    # glibc's largest mmap threshold (32 MiB), so it is one mapping that
-    # goes back to the OS when training ends; as separate arrays they
-    # could stay in the heap, and a forked worker's resident size then
-    # grew from one experiment to the next.
+    # One zeroed block for the best-epoch copy, the gradient and Adam's
+    # moments. As four arrays they raised the peak resident size of a
+    # forked ablate worker that trains one experiment after another
+    # (glibc's heap kept them in pieces between experiments).
     best, grad, m, v = np.zeros((4, span.size))
     best[...] = span
     params, grads = {"live": span}, {"live": grad}

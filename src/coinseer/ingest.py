@@ -204,14 +204,17 @@ def _parse_score(value: object) -> int:
     return int(value)
 
 
-def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) -> list:
+def _read_ndjson(
+    path: str, name: str, what: str, parse: Callable[[dict], tuple | None]
+) -> list:
     """The records ``parse`` makes of an NDJSON file's objects, sorted.
 
-    Only a line that could name ``want`` (a lowercase subreddit or repo
-    name) is decoded: one whose lowercased text contains ``want``, or that
-    holds a JSON escape that could spell one of its characters (``\\u``, or
-    ``\\/`` for a name with a slash; a config's subreddit and repo names
-    hold no quote, backslash or control character, see cli.load_config).
+    Only a line that could name ``name`` (a subreddit or repo name) is
+    decoded: one whose lowercased text contains the lowercased name, or
+    that holds a JSON escape that could spell one of its characters
+    (``\\u``, or ``\\/`` for a name with a slash; a config's subreddit and
+    repo names hold no quote, backslash or control character, see
+    cli.load_config).
     The filter saves time only on foreign lines that hold no ``\\u``;
     every other line costs one lowercasing and one substring search more
     than decoding alone. ``parse`` gives None to drop a decoded object and
@@ -221,10 +224,16 @@ def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) ->
     shaped like an object (it does not start with ``{`` and end with
     ``}``). A decoded line that is not valid UTF-8 is skipped and counted,
     so a compressed file fails the limit. Every non-blank line counts
-    toward the total, and more than 1% skipped lines rejects the file."""
+    toward the total, and more than 1% skipped lines rejects the file.
+
+    If no record is kept, a warning says so (``what`` is e.g. "comments
+    matched subreddit") and, if any decoded line was skipped, how many
+    lines that could name ``name`` could not be read; the file still
+    loads."""
+    want = name.lower()
     slash = "/" in want
     records = []
-    skipped = total = 0
+    skipped = total = unread = 0
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             line = line.strip()
@@ -241,6 +250,7 @@ def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) ->
                 record = parse(json.loads(line))
             except (ValueError, KeyError, TypeError, OverflowError):
                 skipped += 1
+                unread += 1
                 continue
             if record is not None:
                 records.append(record)
@@ -251,6 +261,9 @@ def _read_ndjson(path: str, want: str, parse: Callable[[dict], tuple | None]) ->
             f"{path}: {skipped} of {total} lines unreadable "
             f"({100.0 * skipped / total:.1f}%, tolerance {100.0 * MAX_SKIP_RATE:.0f}%)"
         )
+    if not records:
+        why = f"; {unread} lines that could name {name!r} could not be read" if unread else ""
+        log.warning("%s: no %s %r%s", path, what, name, why)
     records.sort()
     return records
 
@@ -288,10 +301,7 @@ def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:
             raise ValueError("score out of float64 range")
         return CommentRecord(created, sub, body, score) if sub.lower() == want else None
 
-    records = _read_ndjson(path, want, parse)
-    if not records:
-        log.warning("%s: no comments matched subreddit %r", path, subreddit)
-    return records
+    return _read_ndjson(path, subreddit, "comments matched subreddit", parse)
 
 
 def save_reddit_comments(path: str, comments: Iterable[CommentRecord]) -> None:
@@ -339,11 +349,9 @@ def load_github_events(path: str, repo: str) -> list[EventRecord]:
             return None
         return EventRecord(created, name, event_type)
 
-    records = _read_ndjson(path, want, parse)
+    records = _read_ndjson(path, repo, "events matched repo", parse)
     if unknown:
         log.info("%s: dropped %d events of unrecognized type", path, unknown)
-    if not records:
-        log.warning("%s: no events matched repo %r", path, repo)
     return records
 
 

@@ -19,15 +19,21 @@ is live, and training runs over it in place.
 At k=1 the forget gate is dead as well: it only scales the zero initial
 cell (Gers, Schmidhuber & Cummins 2000), so its columns never change.
 Training then works on a packed copy of what acts, each layer's i|g|o
-weights and biases followed by ``wd`` and ``bd`` (``_OneStepSpan``),
-with a one-step forward and backward that skip the f gate, and copies
-the best epoch's values back into the buffer at the end.
-``forward_batch`` and ``backward`` still serve k > 1, ``predict`` and
-``forecast``. The span's products give the same bits as the same
-columns of the four-gate products wherever the BLAS computes a column
-alike at both widths: with OpenBLAS 0.3.31 on x86-64, at layer sizes
-that are multiples of 8 (tried: 8 to 48, and the default 400,800). At
-other sizes the last bit can differ.
+weights and biases followed by ``wd`` and ``bd`` (``_OneStepSpan``), and
+copies the best epoch's values back into the buffer at the end. There is
+one forward, ``forward_batch``, and one backward, ``backward``: they read
+each layer's gate set from its weight width, so they run the span as
+they run the network. Over the span every product runs over i|g|o, the
+input gradient of each layer above the first included. A forward or
+weight-gradient product gives the bits of the same columns of the
+four-gate product wherever the BLAS computes a column alike at both
+widths: with OpenBLAS 0.3.31 on x86-64, at layer sizes that are
+multiples of 8 (tried: 8 to 48, and 400,800). The input gradient sums
+3h terms where the four-gate one sums 4h, of which the forget terms are
+exact zeros; at 400,800 the BLAS splits the two sums differently, so
+the first layer's gradients differ in the last bits (by about 1e-15 of
+each parameter's largest element) and the pinned ablation's predictions
+by at most 4.2e-16 relative. At (8, 16) all bits agree.
 """
 
 from __future__ import annotations
@@ -37,8 +43,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from datetime import date
-from functools import partial
-from typing import BinaryIO, Callable, NamedTuple, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,7 +82,7 @@ class Network:
             raise ValueError("input_dim must be positive")
         if not self.sizes or any(h < 1 for h in self.sizes):
             raise ValueError("layer sizes must be positive")
-        self._layout = _layout(self.input_dim, self.sizes)
+        self._layout = _layout(param_shapes(self.input_dim, self.sizes))
         self.flat = np.zeros(sum(math.prod(shape) for _, shape in self._layout.values()))
         self.params = _views(self.flat, self._layout)
 
@@ -113,10 +118,9 @@ def param_shapes(input_dim: int, sizes: Sequence[int]) -> dict[str, tuple[int, .
     return shapes
 
 
-def _layout(input_dim: int, sizes: Sequence[int]) -> Layout:
-    """(offset, shape) of each parameter in the flat buffer, keyed in
-    param_shapes order; offsets run w1,b1,...,wd,bd and then u1,u2,...."""
-    shapes = param_shapes(input_dim, sizes)
+def _layout(shapes: dict[str, tuple[int, ...]]) -> Layout:
+    """(offset, shape) of each parameter in a flat buffer, keyed in
+    ``shapes`` order; offsets run w1,b1,...,wd,bd and then u1,u2,...."""
     offsets: dict[str, int] = {}
     offset = 0
     for key in sorted(shapes, key=lambda name: name.startswith("u")):
@@ -175,6 +179,20 @@ def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
+def _cell_gate(net: Network, li: int, k: int) -> int:
+    """Column where layer ``li``'s cell gate starts, read from the gate
+    set its weight width holds: i|f|g|o (4h), or i|g|o (3h), which has no
+    forget gate and so serves only k=1."""
+    h = net.sizes[li - 1]
+    width = net.params[f"w{li}"].shape[1]
+    if width == 4 * h or (width == 3 * h and k == 1):
+        return width - 2 * h
+    raise ValueError(
+        f"layer {li} has gate width {width} for {h} units: "
+        f"i|f|g|o is {4 * h}, and i|g|o ({3 * h}) serves only k=1, not k={k}"
+    )
+
+
 def forward_batch(
     net: Network, windows: np.ndarray
 ) -> tuple[np.ndarray, tuple[LayerCache, ...]]:
@@ -182,6 +200,9 @@ def forward_batch(
 
     Each step's gate block is computed in place in the cache, and the
     recurrent state is read back from the previous step's cache slots.
+    ``net`` is a Network or, at k=1, its ``_OneStepSpan``: each layer's
+    gate set is read from its weight width (``_cell_gate``), and the
+    forget term and ``u<l>`` are read only at t > 0.
     """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != net.input_dim:
@@ -194,10 +215,10 @@ def forward_batch(
     layers: list[LayerCache] = []
     seq = x
     for li, h in enumerate(net.sizes, start=1):
+        g0 = _cell_gate(net, li, k)
         w = net.params[f"w{li}"]
-        u = net.params[f"u{li}"]
         b = net.params[f"b{li}"]
-        gates = np.empty((batch, k, 4 * h))
+        gates = np.empty((batch, k, g0 + 2 * h))
         cells = np.empty((batch, k, h))
         cell_tanh = np.empty((batch, k, h))
         hidden = np.empty((batch, k, h))
@@ -206,16 +227,16 @@ def forward_batch(
             np.matmul(seq[:, t], w, out=z)
             z += b
             if t > 0:
-                z += hidden[:, t - 1] @ u
-            _sigmoid(z[:, : 2 * h], out=z[:, : 2 * h])
-            np.tanh(z[:, 2 * h : 3 * h], out=z[:, 2 * h : 3 * h])
-            _sigmoid(z[:, 3 * h :], out=z[:, 3 * h :])
-            gi, gf, gg, go = (z[:, n * h : (n + 1) * h] for n in range(4))
+                z += hidden[:, t - 1] @ net.params[f"u{li}"]
+            _sigmoid(z[:, :g0], out=z[:, :g0])
+            np.tanh(z[:, g0 : g0 + h], out=z[:, g0 : g0 + h])
+            _sigmoid(z[:, g0 + h :], out=z[:, g0 + h :])
+            gi, gg, go = z[:, :h], z[:, g0 : g0 + h], z[:, g0 + h :]
             c = cells[:, t]
             np.multiply(gi, gg, out=c)
-            # at t=0 the forget term is f * (+0.0); adding +0.0 keeps a -0.0
-            # product from becoming a -0.0 cell
-            c += gf * cells[:, t - 1] if t > 0 else 0.0
+            # at t=0 the forget term f * c_prev is +0.0 (or absent); adding
+            # +0.0 keeps a -0.0 product from becoming a -0.0 cell
+            c += z[:, h : 2 * h] * cells[:, t - 1] if t > 0 else 0.0
             np.tanh(c, out=cell_tanh[:, t])
             np.multiply(go, cell_tanh[:, t], out=hidden[:, t])
         layers.append(LayerCache(seq, gates, cells, cell_tanh, hidden))
@@ -238,12 +259,13 @@ def backward(
 
     Only the recurrent product ``dh = dz @ u.T`` runs inside the step
     loop; it writes each step's gate gradient ``dz`` into a per-layer
-    (batch, k, 4h) buffer. After the loop, each layer's time-independent
-    products run once over the stacked steps (Appleyard, Kočiský &
-    Blunsom 2016): ``dw = Xᵀ DZ`` over batch·k rows, ``du = H_{t-1}ᵀ DZ``
-    over the batch·(k-1) rows of steps 1..k-1, the input gradient
-    ``DZ wᵀ``, and one sum for ``db``. With k=1 these are the per-step
-    products themselves.
+    (batch, k, width) buffer, 4h wide, or 3h for a ``_OneStepSpan`` (see
+    ``_cell_gate``), which has no forget block to zero at t=0. After the
+    loop, each layer's time-independent products run once over the
+    stacked steps (Appleyard, Kočiský & Blunsom 2016): ``dw = Xᵀ DZ`` over
+    batch·k rows, ``du = H_{t-1}ᵀ DZ`` over the batch·(k-1) rows of steps
+    1..k-1, the input gradient ``DZ wᵀ``, and one sum for ``db``. With
+    k=1 these are the per-step products themselves.
 
     Every element of the live span's gradient is written into ``out``
     (a new buffer when None), laid out like ``net.flat[:live_size(k)]``.
@@ -267,31 +289,30 @@ def backward(
     for li in range(len(net.sizes), 0, -1):
         lc = layers[li - 1]
         h = net.sizes[li - 1]
-        u = net.params[f"u{li}"]
+        g0 = _cell_gate(net, li, k)
         dh = np.zeros((batch, h))
         dc = np.zeros((batch, h))
-        dzs = np.empty((batch, k, 4 * h))
+        dzs = np.empty((batch, k, g0 + 2 * h))
         for t in range(k - 1, -1, -1):
             dz = dzs[:, t]
             dh_t = dh + d_seq[:, t]
             gi = lc.gates[:, t, :h]
-            gf = lc.gates[:, t, h : 2 * h]
-            gg = lc.gates[:, t, 2 * h : 3 * h]
-            go = lc.gates[:, t, 3 * h :]
+            gg = lc.gates[:, t, g0 : g0 + h]
+            go = lc.gates[:, t, g0 + h :]
             ct = lc.cell_tanh[:, t]
             do = dh_t * ct
             dc = dc + dh_t * go * (1.0 - ct * ct)
             dz[:, :h] = dc * gg * gi * (1.0 - gi)
-            dz[:, 2 * h : 3 * h] = dc * gi * (1.0 - gg * gg)
-            dz[:, 3 * h :] = do * go * (1.0 - go)
+            dz[:, g0 : g0 + h] = dc * gi * (1.0 - gg * gg)
+            dz[:, g0 + h :] = do * go * (1.0 - go)
             if t > 0:
-                c_prev = lc.cells[:, t - 1]
-                dz[:, h : 2 * h] = dc * c_prev * gf * (1.0 - gf)
-                dh = dz @ u.T
+                gf = lc.gates[:, t, h : 2 * h]
+                dz[:, h : 2 * h] = dc * lc.cells[:, t - 1] * gf * (1.0 - gf)
+                dh = dz @ net.params[f"u{li}"].T
                 dc = dc * gf
-            else:
+            elif g0 > h:
                 dz[:, h : 2 * h] = 0.0
-        stacked = dzs.reshape(batch * k, 4 * h)
+        stacked = dzs.reshape(batch * k, g0 + 2 * h)
         np.matmul(lc.inputs.reshape(batch * k, -1).T, stacked, out=grads[f"w{li}"])
         np.sum(stacked, axis=0, out=grads[f"b{li}"])
         if k > 1:
@@ -303,52 +324,48 @@ def backward(
     return grads
 
 
-def _igo_pairs(full: np.ndarray, packed: np.ndarray, h: int):
-    """(canonical, packed) views of the i and of the g|o gate columns."""
-    return ((full[..., :h], packed[..., :h]), (full[..., 2 * h :], packed[..., h:]))
-
-
 class _OneStepSpan:
     """The parameters that one-step windows train, packed contiguously.
 
     ``flat`` holds each layer's i|g|o weights ``w<l>`` (in, 3h) and
     biases ``b<l>`` (3h,), then ``wd`` and ``bd``; ``params`` names its
-    views. ``forward`` and ``backward`` are forward_batch and backward at
-    k=1 without the forget gate (see the module docstring for when their
-    bits agree). The layer-l input gradient (l > 1) still runs as
-    ``dz @ w.T`` over the full i|f|g|o width with zero f columns, because
-    a product over i|g|o alone blocks its sum differently and changes its
-    last bits (so at 400,800); so ``backward`` first copies the span's
-    i|g|o columns of ``w<l>`` into the network.
+    views. The span carries what ``forward_batch`` and ``backward`` read
+    of a network (``input_dim``, ``sizes``, ``params``, ``live_size`` and
+    the layout), so those two run it at k=1 as they run the network; they
+    read its 3h weight width as the gate set i|g|o. Every product then
+    runs over i|g|o alone, the layer-l input gradient (l > 1)
+    ``dz_igo @ w_igo.T`` included (see the module docstring for where its
+    bits match the four-gate path's). ``unpack`` copies the span into the
+    network and ``locate`` names the canonical element of a position.
     """
 
     def __init__(self, net: Network) -> None:
         self.net = net
-        shapes: dict[str, tuple[int, ...]] = {}
-        prev = net.input_dim
-        for li, h in enumerate(net.sizes, start=1):
-            shapes[f"w{li}"] = (prev, 3 * h)
-            shapes[f"b{li}"] = (3 * h,)
-            prev = h
-        shapes["wd"] = (prev,)
-        shapes["bd"] = (1,)
-        self._layout: Layout = {}
-        offset = 0
-        for key, shape in shapes.items():
-            self._layout[key] = (offset, shape)
-            offset += math.prod(shape)
-        self.flat = np.empty(offset)
+        self.input_dim = net.input_dim
+        self.sizes = net.sizes
+        # the network's shapes less u<l>, with three gates' columns of four
+        self._layout = _layout({
+            key: shape if key in ("wd", "bd") else (*shape[:-1], shape[-1] // 4 * 3)
+            for key, shape in param_shapes(net.input_dim, net.sizes).items() if key[0] != "u"
+        })
+        self.flat = np.empty(sum(math.prod(shape) for _, shape in self._layout.values()))
         self.params = _views(self.flat, self._layout)
         for full, packed in self._pairs():
             packed[...] = full
 
     def _pairs(self):
         """(canonical, packed) views that together cover the span."""
-        for li, h in enumerate(self.net.sizes, start=1):
+        for li, h in enumerate(self.sizes, start=1):
             for key in (f"w{li}", f"b{li}"):
-                yield from _igo_pairs(self.net.params[key], self.params[key], h)
+                full, packed = self.net.params[key], self.params[key]
+                yield full[..., :h], packed[..., :h]  # the i columns
+                yield full[..., 2 * h :], packed[..., h:]  # the g|o columns
         for key in ("wd", "bd"):
             yield self.net.params[key], self.params[key]
+
+    def live_size(self, k: int) -> int:
+        """Length of ``flat``, the gradient ``backward`` writes at k=1."""
+        return self.flat.size
 
     def unpack(self) -> None:
         """Copy the span into the network's parameters."""
@@ -360,68 +377,9 @@ class _OneStepSpan:
         key, element = _locate(self._layout, index)
         if key in ("wd", "bd"):
             return key, element
-        h = self.net.sizes[int(key[1:]) - 1]
+        h = self.sizes[int(key[1:]) - 1]
         row, col = divmod(element, 3 * h)
         return key, row * 4 * h + col + (h if col >= h else 0)
-
-    def forward(self, windows: np.ndarray) -> tuple[np.ndarray, tuple[LayerCache, ...]]:
-        """forward_batch for windows shaped (batch, 1, input_dim); the
-        caches hold 2-D (batch, ·) arrays and i|g|o gates."""
-        layers: list[LayerCache] = []
-        seq = windows[:, 0]
-        for li, h in enumerate(self.net.sizes, start=1):
-            z = seq @ self.params[f"w{li}"]
-            z += self.params[f"b{li}"]
-            _sigmoid(z[:, :h], out=z[:, :h])
-            np.tanh(z[:, h : 2 * h], out=z[:, h : 2 * h])
-            _sigmoid(z[:, 2 * h :], out=z[:, 2 * h :])
-            c = z[:, :h] * z[:, h : 2 * h]
-            # forward_batch's forget term: a -0.0 product becomes a +0.0 cell
-            c += 0.0
-            ct = np.tanh(c)
-            hidden = z[:, 2 * h :] * ct
-            layers.append(LayerCache(seq, z, c, ct, hidden))
-            seq = hidden
-        preds = seq @ self.params["wd"] + self.params["bd"][0]
-        return preds, tuple(layers)
-
-    def backward(
-        self, layers: tuple[LayerCache, ...], d: np.ndarray, out: np.ndarray
-    ) -> None:
-        """backward at k=1 for prediction gradients ``d``, writing the
-        span's gradient into ``out``."""
-        batch = d.size
-        grads = _views(out, self._layout)
-        grads["wd"][...] = layers[-1].hidden.T @ d
-        grads["bd"][0] = d.sum()
-        d_in = d[:, None] * self.params["wd"][None, :]
-        for li in range(len(self.net.sizes), 0, -1):
-            lc = layers[li - 1]
-            h = self.net.sizes[li - 1]
-            gi = lc.gates[:, :h]
-            gg = lc.gates[:, h : 2 * h]
-            go = lc.gates[:, 2 * h :]
-            ct = lc.cell_tanh
-            # backward adds these to its zero recurrent gradients dh and dc,
-            # which turns a -0.0 into +0.0
-            dh = d_in + 0.0
-            do = dh * ct
-            dc = dh * go * (1.0 - ct * ct) + 0.0
-            dz = np.empty((batch, 3 * h))
-            dz[:, :h] = dc * gg * gi * (1.0 - gi)
-            dz[:, h : 2 * h] = dc * gi * (1.0 - gg * gg)
-            dz[:, 2 * h :] = do * go * (1.0 - go)
-            np.matmul(lc.inputs.T, dz, out=grads[f"w{li}"])
-            np.sum(dz, axis=0, out=grads[f"b{li}"])
-            # the first layer's input gradient would reach only the data
-            if li > 1:
-                w = self.net.params[f"w{li}"]
-                for full, packed in _igo_pairs(w, self.params[f"w{li}"], h):
-                    full[...] = packed
-                dz_full = np.zeros((batch, 4 * h))
-                for full, packed in _igo_pairs(dz_full, dz, h):
-                    full[...] = packed
-                d_in = dz_full @ w.T
 
 
 #: Adam's moment decay rates and denominator offset (Kingma & Ba 2015).
@@ -580,7 +538,8 @@ def train(
     within each batch, and restores the parameters of the best validation
     epoch before returning. The passed network is trained in place. With
     k=1 only the packed one-step span (see the module docstring) is
-    trained and then copied back, so the recurrent weights and the
+    trained, through the same ``forward_batch`` and ``backward`` as the
+    network, and then copied back, so the recurrent weights and the
     forget-gate columns keep their initial values; for k > 1 every
     parameter trains. Each epoch's MSEs and the best epoch are logged at
     debug level.
@@ -598,15 +557,10 @@ def train(
         raise ValueError("fit and validation sets must be nonempty")
     if fit_set.k == 1:
         span = _OneStepSpan(net)
-        history, best_epoch = _fit(
-            span.flat, span.forward, span.backward, span.locate, fit_set, val_set, config
-        )
+        history, best_epoch = _fit(span, fit_set, val_set, config)
         span.unpack()
     else:
-        history, best_epoch = _fit(
-            net.flat, partial(forward_batch, net), partial(backward, net), net.locate,
-            fit_set, val_set, config,
-        )
+        history, best_epoch = _fit(net, fit_set, val_set, config)
     return TrainedModel(
         network=net,
         norm=norm,
@@ -619,19 +573,17 @@ def train(
 
 
 def _fit(
-    span: np.ndarray,
-    forward: Callable[[np.ndarray], tuple[np.ndarray, tuple[LayerCache, ...]]],
-    backward: Callable[..., object],
-    locate: Callable[[int], tuple[str, int]],
+    model: Network | _OneStepSpan,
     fit_set: WindowedDataset,
     val_set: WindowedDataset,
     config: TrainConfig,
 ) -> tuple[tuple[EpochStats, ...], int]:
-    """train's epoch loop over the parameter buffer ``span``, which
-    ``forward(windows)`` reads and whose gradient
-    ``backward(cache, d_preds, out=grad)`` writes; ``locate`` names a
-    span position. Leaves the best epoch's values in ``span`` and returns
-    the history and the best epoch."""
+    """train's epoch loop over the live parameters of ``model``, a
+    network or a one-step span: ``forward_batch`` reads them, ``backward``
+    writes their gradient and ``model.locate`` names a position. Leaves
+    the best epoch's values in ``model`` and returns the history and the
+    best epoch."""
+    span = model.flat[: model.live_size(fit_set.k)]
     rng = np.random.default_rng(config.seed)
     # One zeroed block for the best-epoch copy, the gradient and Adam's
     # moments. As four arrays they raised the peak resident size of a
@@ -650,16 +602,16 @@ def _fit(
         sse = 0.0
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            preds, cache = forward(fit_set.inputs[idx])
+            preds, cache = forward_batch(model, fit_set.inputs[idx])
             resid = preds - fit_set.targets[idx]
             sse += float(resid @ resid)
-            backward(cache, (2.0 / idx.size) * resid, out=grad)
+            backward(model, cache, (2.0 / idx.size) * resid, out=grad)
             step += 1
             try:
                 adam_step(params, grads, state, step, config)
             except NonFiniteGradient as exc:
-                raise NonFiniteGradient(*locate(exc.index)) from None
-        val_preds, _ = forward(val_set.inputs)
+                raise NonFiniteGradient(*model.locate(exc.index)) from None
+        val_preds, _ = forward_batch(model, val_set.inputs)
         val_resid = val_preds - val_set.targets
         val_mse = float(val_resid @ val_resid) / val_resid.size
         if not math.isfinite(val_mse):

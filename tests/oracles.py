@@ -36,7 +36,10 @@ def per_step_backward(
     """Oracle: lstm.backward as one weight-gradient GEMM per time step.
 
     Each step's ``dw``/``du`` term is computed into a full-size scratch
-    array and added; the input gradient runs once per step. Exact
+    array and added; the input gradient runs once per step. As in
+    lstm.backward, each layer's gate set is read from its weight width,
+    i|f|g|o (4h) or a one-step span's i|g|o (3h), and the forget term and
+    ``u`` are read only at t > 0. Exact
     backpropagation through time over every layer and step. The
     t=0 recurrent terms are skipped because the initial states are zero,
     which makes those contributions identically zero.
@@ -67,34 +70,35 @@ def per_step_backward(
         lc = layers[li - 1]
         h = net.sizes[li - 1]
         w = net.params[f"w{li}"]
-        u = net.params[f"u{li}"]
+        width = w.shape[1]
+        g0 = width - 2 * h  # where the cell gate starts
         dw = grads[f"w{li}"]
-        du = grads[f"u{li}"]
         db = grads[f"b{li}"]
         # the first layer's input gradient would reach only the data
         d_in = np.empty_like(lc.inputs) if li > 1 else None
         dh = np.zeros((batch, h))
         dc = np.zeros((batch, h))
-        dz = np.empty((batch, 4 * h))
+        dz = np.empty((batch, width))
         if scratch is not None:
+            du = grads[f"u{li}"]
             dw_step = scratch[: dw.size].reshape(dw.shape)
             du_step = scratch[: du.size].reshape(du.shape)
         for t in range(k - 1, -1, -1):
             dh_t = dh + d_seq[:, t]
             gi = lc.gates[:, t, :h]
-            gf = lc.gates[:, t, h : 2 * h]
-            gg = lc.gates[:, t, 2 * h : 3 * h]
-            go = lc.gates[:, t, 3 * h :]
+            gg = lc.gates[:, t, g0 : g0 + h]
+            go = lc.gates[:, t, g0 + h :]
             ct = lc.cell_tanh[:, t]
             do = dh_t * ct
             dc = dc + dh_t * go * (1.0 - ct * ct)
             dz[:, :h] = dc * gg * gi * (1.0 - gi)
-            dz[:, 2 * h : 3 * h] = dc * gi * (1.0 - gg * gg)
-            dz[:, 3 * h :] = do * go * (1.0 - go)
+            dz[:, g0 : g0 + h] = dc * gi * (1.0 - gg * gg)
+            dz[:, g0 + h :] = do * go * (1.0 - go)
             if t > 0:
+                gf = lc.gates[:, t, h : 2 * h]
                 c_prev = lc.cells[:, t - 1]
                 dz[:, h : 2 * h] = dc * c_prev * gf * (1.0 - gf)
-            else:
+            elif g0 > h:
                 dz[:, h : 2 * h] = 0.0
             # the last step writes each sum's first term, so ``out`` is
             # never zeroed
@@ -113,7 +117,7 @@ def per_step_backward(
                 else:
                     np.matmul(lc.hidden[:, t - 1].T, dz, out=du_step)
                     du += du_step
-                dh = dz @ u.T
+                dh = dz @ net.params[f"u{li}"].T
                 dc = dc * gf
         d_seq = d_in
     return grads

@@ -394,3 +394,43 @@ def test_a_file_of_non_json_lines_is_rejected(tmp_path, github):
     write_lines(src, ["not json", "[1, 2", "12", "cryptocurrency bitcoin/bitcoin"] * 5)
     with pytest.raises(ingest.IngestError, match=r"20 of 20 lines unreadable \(100\.0%"):
         load(github, src)
+
+
+@pytest.mark.parametrize("github", [False, True])
+def test_lines_that_could_name_the_wanted_one_but_cannot_be_read_are_counted(
+    tmp_path, caplog, github
+):
+    # Events before 2015 come from GitHub's Timeline API, which names the
+    # repository in a ``repository`` object with a URL, not in repo.name.
+    # Such a line holds the wanted name, so it is decoded, and then it
+    # cannot be read. On the Reddit side a comment lacks its score.
+    day = date(2014, 6, 1)
+    if github:
+        foreign = [event_line(day, repo=f"someone/project{i}", hour=i % 24) for i in range(995)]
+        unread = [json.dumps({
+            "type": "WatchEvent",
+            "created_at": f"2014-06-01T{h:02d}:00:00-07:00",
+            "actor": "satoshi",
+            "repository": {"name": "bitcoin", "owner": "bitcoin",
+                           "url": "https://github.com/bitcoin/bitcoin"},
+        }) for h in range(5)]
+        want = "no events matched repo 'bitcoin/bitcoin'"
+        name = "'bitcoin/bitcoin'"
+    else:
+        foreign = [comment_line(day, sub=f"sub{i}", hour=i % 24) for i in range(995)]
+        unread = [json.dumps({"created_utc": epoch(day, h), "subreddit": "CryptoCurrency",
+                              "body": "to the moon"}) for h in range(5)]
+        want = "no comments matched subreddit 'cryptocurrency'"
+        name = "'cryptocurrency'"
+    src = tmp_path / "dump.ndjson"
+    write_lines(src, foreign + unread)
+    with caplog.at_level("WARNING", logger="coinseer.ingest"):
+        assert load(github, src) == []
+    assert caplog.messages == [f"{src}: {want}; 5 lines that could name {name} could not be read"]
+
+    # with no such line the warning says only that nothing matched
+    write_lines(src, foreign)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="coinseer.ingest"):
+        assert load(github, src) == []
+    assert caplog.messages == [f"{src}: {want}"]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coinseer import signals
+from coinseer import ingest, signals
 from coinseer.harness import grid, synthetic
 from coinseer.ingest import CommentRecord, EventRecord, PriceSeries, daily_calendar
 from oracles import day_of, read_signal_csv
@@ -404,6 +404,32 @@ def test_comment_table_rows_and_scores():
     # ids in order of first occurrence
     assert got.tokens == ("good", "x")
     assert got.token_ids.dtype == np.int64
+
+
+def test_deleted_and_removed_bodies_are_kept_as_comments(tmp_path):
+    # Pushshift dumps blank the body (and author) of a deleted or removed
+    # comment; the loader keeps such a comment, it counts in r_vol, and
+    # its one token may enter the r_lang vocabulary
+    lines = [
+        {"created_utc": epoch(CAL[0], 1), "subreddit": "CryptoCurrency", "author": "[deleted]",
+         "body": "[deleted]", "score": 1},
+        {"created_utc": epoch(CAL[0], 2), "subreddit": "CryptoCurrency", "author": "[deleted]",
+         "body": "[removed]", "score": 1},
+        {"created_utc": epoch(CAL[0], 3), "subreddit": "CryptoCurrency", "author": "x",
+         "body": "moon", "score": 5},
+        {"created_utc": epoch(CAL[1], 4), "subreddit": "CryptoCurrency", "author": "[deleted]",
+         "body": "[deleted]", "score": 0},
+    ]
+    src = tmp_path / "comments.ndjson"
+    ingest.write_ndjson(str(src), lines)
+    comments = ingest.load_reddit_comments(str(src), "cryptocurrency")
+    assert [c.body for c in comments] == ["[deleted]", "[removed]", "moon", "[deleted]"]
+    got = table(comments)
+    npt.assert_array_equal(signals.reddit_volume_signal(got).values, [[3], [1], [0]])
+    vocab = signals.build_vocabulary(got, size=2)
+    assert vocab.tokens == ("deleted", "moon")
+    lang = signals.reddit_language_signal(got, vocab)
+    npt.assert_array_equal(lang.values, [[0.5, 0.5], [1.0, 0.0], [0.0, 0.0]])
 
 
 def test_assemble_coin_tokenizes_each_comment_once(monkeypatch):

@@ -256,6 +256,7 @@ def train_lstm_experiment(
         input_dim=len(matrix.columns),
         sizes=options.sizes,
         seed=derive_seed(options.master_seed, "init", cid),
+        k=cfg.k,
     )
     config = options.train_config(derive_seed(options.master_seed, "train", cid))
     model = lstm.train(net, fit_ds, val_ds, config, norm=norm)

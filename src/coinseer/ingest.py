@@ -325,11 +325,14 @@ def _parse_iso_instant(value: object) -> int:
 def load_github_events(path: str, repo: str) -> list[EventRecord]:
     """Read a GitHub Archive NDJSON dump, keeping one repository.
 
-    Repository match is case-insensitive on the full owner/name. Event types
-    outside the eight canonical ones are dropped (and counted in the log)
-    rather than treated as corruption. Which lines are decoded, which count
-    as skipped toward the 1% limit, and the ordering follow
-    load_reddit_comments, with the repository in place of the subreddit.
+    Repository match is case-insensitive on the full owner/name, read from
+    ``repo.name`` or, in an event with no ``repo`` (GitHub's Timeline API,
+    which the archive holds before 2015), from ``repository.owner`` and
+    ``repository.name``. Event types outside the eight canonical ones are
+    dropped (and counted in the log) rather than treated as corruption.
+    Which lines are decoded, which count as skipped toward the 1% limit,
+    and the ordering follow load_reddit_comments, with the repository in
+    place of the subreddit.
     """
     want = repo.lower()
     unknown = 0
@@ -338,7 +341,14 @@ def load_github_events(path: str, repo: str) -> list[EventRecord]:
         nonlocal unknown
         raw_type = obj["type"]
         created = _parse_iso_instant(obj["created_at"])
-        name = obj["repo"]["name"]
+        if obj.get("repo") is None:
+            timeline = obj["repository"]
+            owner, short = timeline["owner"], timeline["name"]
+            if not isinstance(owner, str) or not isinstance(short, str):
+                raise ValueError("bad field type")
+            name = f"{owner}/{short}"
+        else:
+            name = obj["repo"]["name"]
         if not isinstance(raw_type, str) or not isinstance(name, str):
             raise ValueError("bad field type")
         if name.lower() != want:

@@ -13,8 +13,9 @@ All parameters live in one contiguous float64 buffer laid out
 ``w1,b1,w2,b2,...,wd,bd | u1,u2,...``; ``Network.params`` holds named,
 reshaped views into it. With one-step windows (k=1) the recurrent
 weights ``u*`` never act, because the initial hidden state is zero, so
-the *live span* is the prefix before ``u1``. For k > 1 the whole buffer
-is live, and training runs over it in place.
+the *live span* is the prefix before ``u1``, and ``init_network`` told
+k=1 leaves ``u*`` undrawn at zero. For k > 1 the whole buffer is live,
+and training runs over it in place.
 
 At k=1 the forget gate is dead as well: it only scales the zero initial
 cell (Gers, Schmidhuber & Cummins 2000), so its columns never change.
@@ -34,6 +35,11 @@ exact zeros; at 400,800 the BLAS splits the two sums differently, so
 the first layer's gradients differ in the last bits (by about 1e-15 of
 each parameter's largest element) and the pinned ablation's predictions
 by at most 4.2e-16 relative. At (8, 16) all bits agree.
+
+Training steps with Adam (Kingma & Ba 2015) over moments kept rescaled
+by ``1/(1-beta)``, with the bias corrections folded into two scalars per
+step (``AdamState``, ``adam_step``): algebraically the textbook step,
+with fewer passes over memory, and equal to it in all but the last bits.
 """
 
 from __future__ import annotations
@@ -56,9 +62,9 @@ Layout = dict[str, tuple[int, tuple[int, ...]]]
 
 _MODEL_MAGIC = b"COINSEER-MODEL-1\n"
 
-#: Elements per pass of adam_step: the chunks of p, g, m, v and two
-#: scratch arrays (768 KiB) stay inside a 2 MiB L2 cache.
-_CHUNK = 16384
+#: Elements per pass of adam_step: the chunks of p, g, m, v and one
+#: scratch array (1.25 MiB) stay inside a 2 MiB L2 cache.
+_CHUNK = 32768
 
 log = logging.getLogger(__name__)
 
@@ -149,9 +155,16 @@ def _views(buffer: np.ndarray, layout: Layout) -> ParamDict:
 
 
 def init_network(
-    input_dim: int, sizes: Sequence[int] = (400, 800), seed: int = 0
+    input_dim: int, sizes: Sequence[int] = (400, 800), seed: int = 0, k: int | None = None
 ) -> Network:
-    """Glorot-uniform weights, zero biases except forget-gate biases at 1."""
+    """Glorot-uniform weights, zero biases except forget-gate biases at 1.
+
+    ``k`` is the window length the network will see. At k=1 the recurrent
+    weights ``u<l>`` never act, so they are not drawn and stay zero: the
+    generator skips their draws (PCG64 takes one 64-bit draw per double),
+    so every other parameter gets the bits of the full draw, and their
+    pages are never written. Any other ``k`` draws every weight.
+    """
     rng = np.random.default_rng(seed)
     net = Network(input_dim, tuple(sizes))
     params = net.params
@@ -167,7 +180,10 @@ def init_network(
     prev = input_dim
     for li, h in enumerate(sizes, start=1):
         uniform(f"w{li}", math.sqrt(6.0 / (prev + 4 * h)))
-        uniform(f"u{li}", math.sqrt(6.0 / (h + 4 * h)))
+        if k == 1:
+            rng.bit_generator.advance(params[f"u{li}"].size)
+        else:
+            uniform(f"u{li}", math.sqrt(6.0 / (h + 4 * h)))
         params[f"b{li}"][h : 2 * h] = 1.0
         prev = h
     uniform("wd", math.sqrt(6.0 / (prev + 1)))
@@ -411,6 +427,11 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Adam's moments, kept rescaled: ``m`` holds ``m/(1-BETA1)`` and ``v``
+    holds ``v/(1-BETA2)`` of the textbook moments, so that each step adds
+    the gradient and its square unscaled (see ``adam_step``). Both start
+    at zero, as the textbook moments do."""
+
     m: ParamDict
     v: ParamDict
 
@@ -433,12 +454,22 @@ def adam_step(
     """One bias-corrected update (Kingma & Ba 2015), in place on params and state.
 
     Every gradient is checked finite before anything changes. The update
-    then runs as in-place ufuncs over chunks of ``_CHUNK`` elements with
-    two chunk-sized scratch arrays, doing the same operations in the same
-    order as the whole-array expressions
-    ``m = BETA1*m + (1-BETA1)*g``, ``v = BETA2*v + (1-BETA2)*g*g`` and
-    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + EPS)``, so results are bitwise
-    equal to them. All arrays must be C-contiguous.
+    then runs over the rescaled moments of ``AdamState`` as in-place
+    ufuncs over chunks of ``_CHUNK`` elements with one chunk-sized
+    scratch array, ten passes per chunk:
+    ``m' = BETA1*m' + g``, ``v' = BETA2*v' + g*g`` and
+    ``p -= alpha_t * m' / (sqrt(v') + eps_t)``, where, with
+    ``bc1 = 1 - BETA1**t``, ``bc2 = 1 - BETA2**t`` and
+    ``r = sqrt((1-BETA2)/bc2)``, ``alpha_t = lr*(1-BETA1)/(bc1*r)`` and
+    ``eps_t = EPS/r``. That is algebraically the textbook step
+    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + EPS)``, EPS included, with one
+    array division and no bias-correction divisions. It rounds
+    differently from the textbook arithmetic: after 55 steps of random
+    gradients over 1.085 M parameters no element differed by more than
+    1.4e-11 relative, and after the 144 steps of one pinned-ablation
+    experiment no weight differed by more than 1.5e-15 of its
+    parameter's largest element. Results do not depend on ``_CHUNK``.
+    All arrays must be C-contiguous.
     """
     if t < 1:
         raise ValueError("step index starts at 1")
@@ -451,30 +482,25 @@ def adam_step(
         if not finite.all():
             raise NonFiniteGradient(key, int(np.argmin(finite.reshape(-1))))
         arrays.append([a.reshape(-1) for a in quad])
-    bc1 = 1.0 - BETA1**t
-    bc2 = 1.0 - BETA2**t
-    scratch1 = np.empty(_CHUNK)
-    scratch2 = np.empty(_CHUNK)
+    r = math.sqrt((1.0 - BETA2) / (1.0 - BETA2**t))
+    alpha = config.learning_rate * (1.0 - BETA1) / ((1.0 - BETA1**t) * r)
+    eps = EPS / r
+    scratch = np.empty(_CHUNK)
     for p, g, m, v in arrays:
         for lo in range(0, p.size, _CHUNK):
             hi = min(lo + _CHUNK, p.size)
             pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            s1 = scratch1[: hi - lo]
-            s2 = scratch2[: hi - lo]
-            np.multiply(gc, 1.0 - BETA1, out=s1)
+            s = scratch[: hi - lo]
             mc *= BETA1
-            mc += s1
-            np.multiply(gc, gc, out=s1)
-            s1 *= 1.0 - BETA2
+            mc += gc
+            np.multiply(gc, gc, out=s)
             vc *= BETA2
-            vc += s1
-            np.divide(mc, bc1, out=s1)
-            s1 *= config.learning_rate
-            np.divide(vc, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += EPS
-            s1 /= s2
-            pc -= s1
+            vc += s
+            np.sqrt(vc, out=s)
+            s += eps
+            np.divide(mc, s, out=s)
+            s *= alpha
+            pc -= s
     return params, state
 
 
@@ -539,10 +565,10 @@ def train(
     epoch before returning. The passed network is trained in place. With
     k=1 only the packed one-step span (see the module docstring) is
     trained, through the same ``forward_batch`` and ``backward`` as the
-    network, and then copied back, so the recurrent weights and the
-    forget-gate columns keep their initial values; for k > 1 every
-    parameter trains. Each epoch's MSEs and the best epoch are logged at
-    debug level.
+    network, and then copied back, so the recurrent weights (zero if
+    ``init_network`` was told k=1) and the forget-gate columns keep their
+    initial values; for k > 1 every parameter trains. Each epoch's MSEs
+    and the best epoch are logged at debug level.
     """
     if fit_set.feature_names != val_set.feature_names:
         raise ValueError("fit and validation feature names differ")

@@ -1,6 +1,7 @@
 """Reference helpers that only the tests call: the batch loss and its
 gradients, backpropagation with one weight-gradient product per time
-step, the reader of signal CSVs, and the UTC day of a timestamp."""
+step, the textbook Adam step, the reader of signal CSVs, and the UTC day
+of a timestamp."""
 
 from __future__ import annotations
 
@@ -121,6 +122,36 @@ def per_step_backward(
                 dc = dc * gf
         d_seq = d_in
     return grads
+
+
+def textbook_adam_step(
+    params: lstm.ParamDict,
+    grads: lstm.ParamDict,
+    state: lstm.AdamState,
+    t: int,
+    config: lstm.TrainConfig,
+) -> tuple[lstm.ParamDict, lstm.AdamState]:
+    """Oracle: the bias-corrected Adam step of Kingma & Ba (2015) over the
+    textbook moments ``m`` and ``v``, not lstm.AdamState's rescaled ones.
+
+    These are the operations, in order, of the chunked 14-pass step that
+    lstm.adam_step ran before it kept its moments rescaled, so swapped
+    in for it, this reproduces that code's bits.
+    """
+    bc1 = 1.0 - lstm.BETA1**t
+    bc2 = 1.0 - lstm.BETA2**t
+    for key, g in grads.items():
+        finite = np.isfinite(g)
+        if not finite.all():
+            raise lstm.NonFiniteGradient(key, int(np.argmin(finite.reshape(-1))))
+    for key, p in params.items():
+        g, m, v = grads[key], state.m[key], state.v[key]
+        m *= lstm.BETA1
+        m += g * (1.0 - lstm.BETA1)
+        v *= lstm.BETA2
+        v += g * g * (1.0 - lstm.BETA2)
+        p -= m / bc1 * config.learning_rate / (np.sqrt(v / bc2) + lstm.EPS)
+    return params, state
 
 
 def read_signal_csv(path: str) -> SignalMatrix:

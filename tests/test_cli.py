@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from coinseer import cli, ingest, signals
+from coinseer import cli, ingest, lstm, signals
 from coinseer.harness import grid
 from coinseer.harness import report as harness_report
 from coinseer.harness import synthetic
-from oracles import read_signal_csv
+from oracles import read_signal_csv, textbook_adam_step
 
 
 def run(argv):
@@ -297,7 +297,9 @@ def test_train_then_forecast_round_trip(tmp_path, capsys):
 # `train --synthetic` run per window size, recorded before k=1 training
 # moved to its packed one-step span (numpy 2.4.6, OpenBLAS 0.3.31,
 # x86-64). At these layer sizes no product is large enough for OpenBLAS
-# to split, so the bytes do not depend on its thread count.
+# to split, so the bytes do not depend on its thread count. The textbook
+# Adam step (oracles.textbook_adam_step), with every weight drawn at k=1,
+# reproduces them.
 TRAIN_FORECAST_SHA256 = {
     "1": ("be157a29ee9fccbb71c54b91c5d99f096602a5a90d3354d4aa2f1be91c724dfe",
           "9104c514a2906f79b236f3a0be98226d95de84a12dbff906eccde2ad7ee5dca4"),
@@ -305,9 +307,20 @@ TRAIN_FORECAST_SHA256 = {
           "bf6026d2e5d20455b74e90defa40ea8597c24777f91efcfff6fbf0e45f999f66"),
 }
 
+# The same digests since adam_step keeps its moments rescaled, which
+# moves the last bits of trained weights, and since a k=1 network leaves
+# u1 and u2 undrawn at zero. Both model files moved; both forecast lines
+# kept their bits.
+RESCALED_ADAM_TRAIN_FORECAST_SHA256 = {
+    "1": ("58884585d4953dbb7081a8904a50e01363e352c2fdc2e4f64fb92c13bb5d49bb",
+          "9104c514a2906f79b236f3a0be98226d95de84a12dbff906eccde2ad7ee5dca4"),
+    "7": ("d6f5689c06c5ada493b0ef45f47f3e1b07015a7532956d0326fbf1d33f105404",
+          "bf6026d2e5d20455b74e90defa40ea8597c24777f91efcfff6fbf0e45f999f66"),
+}
 
-@pytest.mark.parametrize("k", sorted(TRAIN_FORECAST_SHA256))
-def test_train_and_forecast_bytes_match_record(tmp_path, capsys, k):
+
+def synthetic_train_and_forecast_digests(tmp_path, capsys, k):
+    """sha256 of the model file and of the forecast line, and the model's path."""
     src = synth_dir(tmp_path, days=60, seed=3)
     out = tmp_path / "trained"
     assert run(["train", "--synthetic", "--days", "60", "--coins", "1", "--seed", "3",
@@ -317,7 +330,25 @@ def test_train_and_forecast_bytes_match_record(tmp_path, capsys, k):
     capsys.readouterr()
     assert run(["forecast", "--model", str(model), "--config", str(src / "config.json")]) == 0
     line = capsys.readouterr().out
-    digests = tuple(hashlib.sha256(b).hexdigest() for b in (model.read_bytes(), line.encode()))
+    return tuple(hashlib.sha256(b).hexdigest() for b in (model.read_bytes(), line.encode())), model
+
+
+@pytest.mark.parametrize("k", sorted(RESCALED_ADAM_TRAIN_FORECAST_SHA256))
+def test_train_and_forecast_bytes_match_record(tmp_path, capsys, k):
+    digests, model = synthetic_train_and_forecast_digests(tmp_path, capsys, k)
+    assert digests == RESCALED_ADAM_TRAIN_FORECAST_SHA256[k]
+    params = lstm.load_model(str(model)).network.params
+    assert (params["u1"].any() and params["u2"].any()) == (k != "1")
+
+
+@pytest.mark.parametrize("k", sorted(TRAIN_FORECAST_SHA256))
+def test_textbook_adam_step_and_full_draw_reproduce_recorded_train_and_forecast_bytes(
+    monkeypatch, tmp_path, capsys, k
+):
+    full_draw = lstm.init_network
+    monkeypatch.setattr(lstm, "init_network", lambda *args, k=None, **kw: full_draw(*args, **kw))
+    monkeypatch.setattr(lstm, "adam_step", textbook_adam_step)
+    digests, _ = synthetic_train_and_forecast_digests(tmp_path, capsys, k)
     assert digests == TRAIN_FORECAST_SHA256[k]
 
 

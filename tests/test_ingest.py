@@ -2,7 +2,7 @@
 
 import gzip
 import json
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import numpy.testing as npt
@@ -221,6 +221,54 @@ def test_github_loader_accepts_offset_timestamps(tmp_path):
     assert day_of(record.created_utc) == date(2021, 1, 1)
 
 
+def timeline_event_line(owner, name, kind, created_at):
+    """A GitHub Archive event from before 2015, in the shape of GitHub's
+    Timeline API: a ``repository`` object where later events have
+    ``repo``, the actor as a login string, and a local-time created_at."""
+    return json.dumps({
+        "created_at": created_at,
+        "payload": {},
+        "public": True,
+        "type": kind,
+        "url": f"https://github.com/{owner}/{name}",
+        "actor": "satoshi",
+        "actor_attributes": {"login": "satoshi", "type": "User"},
+        "repository": {
+            "id": 1181927, "name": name, "owner": owner, "private": False, "fork": False,
+            "url": f"https://github.com/{owner}/{name}", "language": "C++",
+            "created_at": "2010-12-19T07:35:29-08:00",
+        },
+    })
+
+
+def test_github_loader_reads_timeline_events_from_before_2015(tmp_path, caplog):
+    # 20 events on the last day of the Timeline format, in Pacific time,
+    # then 20 in the Events format, and one Timeline event of another
+    # repository whose URL holds the wanted name, so it is decoded. One
+    # counted line in 41 would exceed the 1% limit.
+    timeline = [
+        timeline_event_line("bitcoin", "bitcoin", "WatchEvent", f"2014-12-31T{h:02d}:30:00-08:00")
+        for h in range(20)
+    ]
+    events = [event_line(date(2015, 1, 2), kind="ForkEvent", hour=h) for h in range(20)]
+    foreign = timeline_event_line("bitcoin", "bitcoin.org", "PushEvent", "2014-12-31T10:00:00-08:00")
+    src = tmp_path / "g.ndjson"
+    write_lines(src, timeline + [foreign] + events)
+    with caplog.at_level("WARNING", logger="coinseer.ingest"):
+        records = ingest.load_github_events(str(src), "bitcoin/bitcoin")
+    assert caplog.messages == []
+    assert len(records) == 40
+    assert {r.repo for r in records} == {"bitcoin/bitcoin"}
+    assert [r.event_type for r in records] == ["Watch"] * 20 + ["Fork"] * 20
+    pacific = timezone(timedelta(hours=-8))
+    stamps = [datetime(2014, 12, 31, h, 30, tzinfo=pacific) for h in range(20)]
+    assert [r.created_utc for r in records[:20]] == [int(t.timestamp()) for t in stamps]
+    assert records[0].created_utc == int(datetime(2014, 12, 31, 8, 30, tzinfo=timezone.utc).timestamp())
+    assert [day_of(r.created_utc) for r in records[:20]] == [date(2014, 12, 31)] * 16 + [
+        date(2015, 1, 1)
+    ] * 4
+
+
 def test_align_calendar_forward_fills(tmp_path):
     src = tmp_path / "p.csv"
     price_csv(
@@ -400,19 +448,16 @@ def test_a_file_of_non_json_lines_is_rejected(tmp_path, github):
 def test_lines_that_could_name_the_wanted_one_but_cannot_be_read_are_counted(
     tmp_path, caplog, github
 ):
-    # Events before 2015 come from GitHub's Timeline API, which names the
-    # repository in a ``repository`` object with a URL, not in repo.name.
-    # Such a line holds the wanted name, so it is decoded, and then it
-    # cannot be read. On the Reddit side a comment lacks its score.
+    # An event names the wanted repository, so it is decoded, and then it
+    # cannot be read, as its created_at is no time. On the Reddit side a
+    # comment lacks its score.
     day = date(2014, 6, 1)
     if github:
         foreign = [event_line(day, repo=f"someone/project{i}", hour=i % 24) for i in range(995)]
         unread = [json.dumps({
             "type": "WatchEvent",
-            "created_at": f"2014-06-01T{h:02d}:00:00-07:00",
-            "actor": "satoshi",
-            "repository": {"name": "bitcoin", "owner": "bitcoin",
-                           "url": "https://github.com/bitcoin/bitcoin"},
+            "created_at": f"June 1st, {h} o'clock",
+            "repo": {"name": "bitcoin/bitcoin"},
         }) for h in range(5)]
         want = "no events matched repo 'bitcoin/bitcoin'"
         name = "'bitcoin/bitcoin'"

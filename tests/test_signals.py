@@ -1,5 +1,6 @@
 """Daily signal families built from archive records."""
 
+import json
 import re
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -432,31 +433,183 @@ def test_deleted_and_removed_bodies_are_kept_as_comments(tmp_path):
     npt.assert_array_equal(lang.values, [[0.5, 0.5], [1.0, 0.0], [0.0, 0.0]])
 
 
+def comment_tokens(got):
+    """Each comment's tokens, read back from a CommentTable."""
+    return [[got.tokens[i] for i in got.token_ids[a:b]]
+            for a, b in zip(got.offsets.tolist(), got.offsets[1:].tolist())]
+
+
+def record_tables(monkeypatch):
+    """Record the arguments and result of every comment_table call."""
+    tables, comment_table = [], signals.comment_table
+    monkeypatch.setattr(signals, "comment_table",
+                        lambda *args: tables.append((args, comment_table(*args))) or tables[-1][1])
+    return tables
+
+
 def test_assemble_coin_tokenizes_each_comment_once(monkeypatch):
+    # one table per coin, holding every comment once, its tokens those of tokenize
     comments, calendar, lexicon = oracle_corpus(days=10)
     high = np.linspace(10.0, 20.0, len(calendar))
     price = PriceSeries("c", calendar, high - 1.0, high, high - 2.0, high - 1.0)
-    calls = []
-    tokenize = signals.tokenize
-    monkeypatch.setattr(signals, "tokenize", lambda text: calls.append(text) or tokenize(text))
+    tables = record_tables(monkeypatch)
     coin = grid.assemble_coin(price, comments, [], lexicon, vocab_size=20)
-    assert sorted(calls) == sorted(c.body for c in comments)
     assert list(coin.signals) == list(signals.FAMILIES)
+    ((args, got),) = tables
+    assert args[0] is comments
+    assert len(got.offsets) == len(comments) + 1
+    assert comment_tokens(got) == [signals.tokenize(c.body) for c in comments]
 
 
 def test_synthetic_bundle_builds_the_comment_table_only_for_reddit_families(monkeypatch):
-    tables, tokenized = [], []
-    comment_table, tokenize = signals.comment_table, signals.tokenize
-    monkeypatch.setattr(signals, "comment_table",
-                        lambda *args: tables.append(args) or comment_table(*args))
-    monkeypatch.setattr(signals, "tokenize", lambda text: tokenized.append(text) or tokenize(text))
+    tables = record_tables(monkeypatch)
     for families in ((), ("gh_pop", "gh_all"), ("r_vol", "r_lang", "r_score")):
         bundle = synthetic.synthetic_bundle(7, 60, ("alphacoin",), families)
         assert list(bundle.coins["alphacoin"].signals) == list(families)
         if "r_vol" not in families:
-            assert not tables and not tokenized, families
-    assert len(tables) == 1
-    assert len(tokenized) == len(tables[0][0])
+            assert not tables, families
+    (((comments, _, _), got),) = tables
+    assert len(got.offsets) == len(comments) + 1
+    assert comment_tokens(got) == [signals.tokenize(c.body) for c in comments]
+
+
+#: Bodies whose lowercasing or encoding could trip a bulk tokenizer: empty
+#: and blank ones, code points that lowercase to ascii (the Kelvin sign) or
+#: to more than one code point (İ), ß, final and medial sigma, NUL and other
+#: control characters, the lone surrogates that JSON escapes such as
+#: "\ud800" decode to, digits and punctuation.
+EDGE_BODIES = [
+    "", " ", "\t\n \r\x0b\x0c", "İstanbul", "\u212aelvin 5\u212a", "straße STRASSE", "ΣΑΣ σας Σ",
+    "a\x00b", "\x00", "x\x01\x1fy\x7fz\x1c", json.loads('"lone\\ud800 surrogate\\udfff"'),
+    "It's 9-to-5, OK?", "3.14159 v2_0 #tag @user", "日本語 and ascii", "ǅemal ﬁne Ⅻ",
+]
+
+
+def test_comment_table_tokens_equal_tokenize_per_body():
+    assert signals.tokenize("İstanbul") == ["i", "stanbul"]
+    assert signals.tokenize("\u212aelvin 5\u212a") == ["kelvin", "5k"]
+    assert signals.tokenize("straße") == ["stra", "e"]
+    assert signals.tokenize("a\x00b") == ["a", "b"]
+    # more comments than one chunk; the last body of the first chunk and
+    # the first of the second would join into one token if the chunks ran on
+    n = signals._CHUNK + 40
+    bodies = [EDGE_BODIES[i % len(EDGE_BODIES)] + f" c{i % 7}" * (i % 3) for i in range(n)]
+    bodies[signals._CHUNK - 1], bodies[signals._CHUNK] = "ab", "cd"
+    comments = [comment(CAL[i % 3], body) for i, body in enumerate(bodies)]
+    got = table(comments)
+    want = [signals.tokenize(body) for body in bodies]
+    assert len(got.offsets) == n + 1 and got.offsets[0] == 0
+    assert comment_tokens(got) == want
+    assert want[signals._CHUNK - 1 : signals._CHUNK + 1] == [["ab"], ["cd"]]
+    # ids number the distinct tokens in order of first occurrence
+    assert got.tokens == tuple(dict.fromkeys(t for tokens in want for t in tokens))
+    assert got.token_ids.dtype == np.int64 and got.offsets.dtype == np.int64
+
+
+def on_days(calendar, day):
+    """A CommentTable that places one comment on each row of ``day``."""
+    zeros = np.zeros(len(day))
+    return signals.CommentTable(tuple(calendar), np.asarray(day, dtype=np.int64), zeros, zeros,
+                                zeros, np.zeros(len(day) + 1, dtype=np.int64),
+                                np.zeros(0, dtype=np.int64), ())
+
+
+def test_day_quartiles_equal_np_quantile_per_day_bitwise():
+    rng = np.random.default_rng(19)
+    sizes = list(range(21)) + [0, 2000]
+    calendar = daily_calendar(date(2021, 1, 1), date(2021, 1, len(sizes)))
+    day = np.concatenate([np.repeat(np.arange(len(sizes)), sizes), np.full(50, -1)])
+    draws = {
+        "ties": lambda n: rng.integers(-3, 4, n).astype(np.float64),
+        "scores": lambda n: rng.integers(-10**6, 10**6, n).astype(np.float64),
+        "uniform": lambda n: rng.uniform(-1, 1, n),
+        "spread": lambda n: rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+    }
+    for kind, draw in draws.items():
+        for _ in range(5):
+            order = rng.permutation(len(day))
+            rows, values = day[order], draw(len(day))
+            got = signals._day_quartiles(on_days(calendar, rows), values)
+            want = np.zeros((len(sizes), 3))
+            for i in range(len(sizes)):
+                if (rows == i).any():
+                    want[i] = np.quantile(values[rows == i], [0.25, 0.5, 0.75])
+            assert got.tobytes() == want.tobytes(), kind
+
+
+def test_negative_zero_lexicon_values_give_positive_zero_quartiles():
+    # numpy's sum starts from +0.0, so a comment whose lexicon values are
+    # all -0.0 scores +0.0, at any count of hits (pairwise from 8 on)
+    assert not np.signbit(np.add.reduce(np.full(1, -0.0)))
+    assert not np.signbit(np.add.reduce(np.full(9, -0.0)))
+    lexicon = signals.SentimentLexicon({"down": (-0.0, 0.0), "flat": (0.0, -0.0)})
+    comments = [comment(CAL[0], "down"), comment(CAL[0], "down flat " * 9, hour=13),
+                comment(CAL[1], "flat down x")]
+    got = table(comments, lexicon)
+    assert not np.signbit(got.polarity).any() and not np.signbit(got.subjectivity).any()
+    values = signals.reddit_sentiment_signal(got).values
+    assert values.tobytes() == np.zeros_like(values).tobytes()
+
+
+def pushshift_line(created_utc, subreddit, body, score=1, **extra):
+    """A comment as a Pushshift dump holds it: the fields coinseer reads,
+    the ones it ignores, non-ASCII text as \\u escapes."""
+    obj = {
+        "author": "satoshi", "author_flair_css_class": None, "author_flair_text": None,
+        "body": body, "controversiality": 0, "created_utc": created_utc,
+        "distinguished": None, "edited": False, "gilded": 0, "id": "cqug90j",
+        "link_id": "t3_34f9rh", "parent_id": "t1_cqug2sr", "retrieved_on": 1432703079,
+        "score": score, "stickied": False, "subreddit": subreddit, "subreddit_id": "t5_2s3qj",
+        "ups": score,
+    }
+    return json.dumps({**obj, **extra})
+
+
+def test_pushshift_shaped_comments_load_and_score(tmp_path, caplog):
+    day1, day2 = date(2015, 5, 1), date(2015, 5, 2)
+    calendar = daily_calendar(day1, date(2015, 5, 3))
+    lines = [
+        pushshift_line(epoch(day1, 1), "Bitcoin", "To the MOON \U0001f680", score=12),
+        pushshift_line(epoch(day1, 2), "bitcoin", "İstanbul moon"),
+        # older dumps give created_utc as a string
+        pushshift_line(str(epoch(day1, 3)), "Bitcoin", "straße dump", score=-3),
+        pushshift_line(epoch(day2, 1), "Bitcoin", "[deleted]", author="[deleted]"),
+        # a lone surrogate escape, which a broken dump can hold
+        '{"body":"lone \\ud800 surrogate moon","created_utc":%d,"score":2,'
+        '"subreddit":"Bitcoin","id":"x","gilded":0}' % epoch(day2, 2),
+        pushshift_line(epoch(day2, 3), "BITCOIN", "ΜΟΟΝ"),
+        # decoded, since it names "bitcoin", and dropped
+        pushshift_line(epoch(day1, 4), "BitcoinMarkets", "moon"),
+        # the wanted subreddit with an unreadable time: skipped and counted
+        pushshift_line("yesterday", "Bitcoin", "moon"),
+    ] + [pushshift_line(epoch(day1, 5), "ethereum", f"gas {i}") for i in range(100)]
+    assert all(line.isascii() for line in lines)
+    src = tmp_path / "RC_2015-05.ndjson"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with caplog.at_level("DEBUG", logger="coinseer.ingest"):
+        comments = ingest.load_reddit_comments(str(src), "bitcoin")
+    assert caplog.messages == [f"{src}: 108 lines read, 6 records kept, 1 lines skipped"]
+    assert [(c.subreddit, c.body, c.score) for c in comments] == [
+        ("Bitcoin", "To the MOON \U0001f680", 12), ("bitcoin", "İstanbul moon", 1),
+        ("Bitcoin", "straße dump", -3), ("Bitcoin", "[deleted]", 1),
+        ("Bitcoin", "lone \ud800 surrogate moon", 2), ("BITCOIN", "ΜΟΟΝ", 1),
+    ]
+    assert comments[2].created_utc == epoch(day1, 3)
+
+    lexicon = signals.SentimentLexicon({"moon": (0.5, 0.75), "dump": (-0.25, 0.5)})
+    got = table(comments, lexicon, calendar)
+    assert comment_tokens(got) == [["to", "the", "moon"], ["i", "stanbul", "moon"],
+                                   ["stra", "e", "dump"], ["deleted"],
+                                   ["lone", "surrogate", "moon"], []]
+    vocab = signals.Vocabulary(("moon", "i", "stanbul", "stra", "e", "deleted"))
+    lang = signals.reddit_language_signal(got, vocab).values
+    assert lang.tolist() == [[2 / 6, 1 / 6, 1 / 6, 1 / 6, 1 / 6, 0.0],
+                             [1 / 2, 0.0, 0.0, 0.0, 0.0, 1 / 2], [0.0] * 6]
+    sent = signals.reddit_sentiment_signal(got).values
+    # day 1 polarities (0.5, 0.5, -0.25), subjectivities (0.75, 0.75, 0.5);
+    # day 2 (0, 0.5, 0) and (0, 0.75, 0)
+    assert sent.tolist() == [[0.125, 0.5, 0.5, 0.625, 0.75, 0.75],
+                             [0.0, 0.0, 0.25, 0.0, 0.0, 0.375], [0.0] * 6]
 
 
 def test_assemble_coin_drops_language_only_when_no_comment_has_tokens(caplog):

@@ -38,7 +38,7 @@ _WORD_BYTES = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0
 
 #: Comments per bulk pass of comment_table. It bounds the pass's temporary
 #: text, token objects and arrays: on a 48,000-comment archive, `correlate`
-#: peaked at 93 MB RSS with 4096 and at 87 MB with 1024, at the same speed.
+#: peaked at 91 MB RSS with 4096 and at 86 MB with 1024, at the same speed.
 _CHUNK = 1024
 
 DEFAULT_VOCAB_SIZE = 10000
@@ -178,7 +178,7 @@ def comment_table(
     # polarity and subjectivity, each indexed by lexicon row
     lexicon_values = np.array(list(lexicon.entries.values()), dtype=np.float64).reshape(-1, 2).T
     ids: defaultdict[bytes, int] = defaultdict(count().__next__)  # a new token takes the next id
-    id_lexicon_row = np.empty(0, dtype=np.int64)  # of each token id, -1 outside the lexicon
+    id_lexicon_row = array("q")  # of each token id, -1 outside the lexicon
     token_ids, offsets = array("q"), np.zeros(len(day) + 1, dtype=np.int64)
     sentiment = np.zeros((2, len(day)))  # scored on the calendar only
     for lo in range(0, len(day), _CHUNK):
@@ -188,8 +188,7 @@ def comment_table(
         chunk_ids = np.fromiter(map(ids.__getitem__, words), np.int64, len(words))
         # the tokens first seen in this chunk, in id order
         fresh = list(islice(reversed(ids), len(ids) - len(id_lexicon_row)))[::-1]
-        id_lexicon_row = np.concatenate([id_lexicon_row, np.array(
-            [lexicon_row.get(t.decode(), -1) for t in fresh], dtype=np.int64)])
+        id_lexicon_row.extend(lexicon_row.get(t.decode(), -1) for t in fresh)
         # a body's tokens are those that start before its end and after the
         # previous body's end
         in_word = np.frombuffer(text, dtype=np.uint8) != ord(" ")
@@ -199,12 +198,15 @@ def comment_table(
         offsets[lo + 1 : lo + 1 + len(bodies)] = len(token_ids) + token_ends
         token_ids.frombytes(chunk_ids.tobytes())
         owner = np.repeat(np.arange(len(bodies)), np.diff(token_ends, prepend=0))
-        hit_rows = id_lexicon_row[chunk_ids]
+        # through a temporary view: an array cannot grow while a view holds it
+        hit_rows = np.frombuffer(id_lexicon_row, dtype=np.int64)[chunk_ids]
         hit = (hit_rows >= 0) & (day[lo + owner] >= 0)
         hits = np.bincount(owner[hit], minlength=len(bodies))
         hit_rows = hit_rows[hit]
         first_hit = np.cumsum(hits) - hits
-        for m in np.unique(hits[hits > 0]).tolist():
+        # each count of hits that some comment has; np.unique would import
+        # numpy.ma, 2.5 MB more RSS in every worker forked after this
+        for m in (np.flatnonzero(np.bincount(hits)[1:]) + 1).tolist():
             rows = np.flatnonzero(hits == m)
             # (comments, m) lexicon rows; numpy sums each row of a C-ordered
             # matrix as it sums that row alone, np.mean's own arithmetic

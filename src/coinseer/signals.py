@@ -37,9 +37,10 @@ _WORD_BYTES = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0
                     for b in range(256))
 
 #: Comments per bulk pass of comment_table. It bounds the pass's temporary
-#: text, token objects and arrays: on a 48,000-comment archive, `correlate`
-#: peaked at 91 MB RSS with 4096 and at 86 MB with 1024, at the same speed.
-_CHUNK = 1024
+#: text, token objects and arrays, and the heap they leave fragmented: on a
+#: 48,000-comment archive `correlate` peaked at 91 MB RSS with 4096, 86 MB
+#: with 1024 and 84 MB with 512, where the table took 0.01 s longer (0.2 s).
+_CHUNK = 512
 
 DEFAULT_VOCAB_SIZE = 10000
 

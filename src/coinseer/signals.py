@@ -343,8 +343,8 @@ def _day_quartiles(comments: CommentTable, values: np.ndarray) -> np.ndarray:
     virtual = last * _QUARTILES  # positions within each day's sorted values
     below = np.floor(virtual)
     t = virtual - below
-    a = ordered[first + below.astype(np.intp)]
-    b = ordered[first + np.minimum(below.astype(np.intp) + 1, last)]
+    lower = first + below.astype(np.intp)
+    a, b = ordered[lower], ordered[np.minimum(lower + 1, first + last)]
     d = b - a
     out[busy] = np.where(t >= 0.5, b - d * (1 - t), a + d * t)
     return out

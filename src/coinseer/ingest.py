@@ -43,6 +43,10 @@ MAX_SKIP_RATE = 0.01
 #: that a GitHub created_at can spell.
 MAX_EPOCH = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
 
+#: ``(value, end)`` of the JSON value at the start of a string: the decoder
+#: behind json.loads, called without json.loads's wrapper layers.
+_decode = json.JSONDecoder().raw_decode
+
 
 class IngestError(ValueError):
     """Raised when an input archive is malformed beyond tolerance."""
@@ -217,14 +221,18 @@ def _read_ndjson(
     cli.load_config).
     The filter saves time only on foreign lines that hold no ``\\u``;
     every other line costs one lowercasing and one substring search more
-    than decoding alone. ``parse`` gives None to drop a decoded object and
-    raises ValueError, KeyError, TypeError or OverflowError for one it
-    cannot read; its line is skipped and counted. Every other line is
-    foreign and is not decoded; it counts as skipped only if it is not
-    shaped like an object (it does not start with ``{`` and end with
-    ``}``). A decoded line that is not valid UTF-8 is skipped and counted,
-    so a compressed file fails the limit. Every non-blank line counts
-    toward the total, and more than 1% skipped lines rejects the file.
+    than decoding alone. A decoded line must hold exactly one JSON value:
+    it is read by one ``JSONDecoder.raw_decode`` call, and text left after
+    the value (a second value included) makes the line unreadable, which
+    on a stripped line is ``json.loads``'s verdict. ``parse`` gives None to
+    drop a decoded object and raises ValueError, KeyError, TypeError or
+    OverflowError for one it cannot read; its line is skipped and counted.
+    Every other line is foreign and is not decoded; it counts as skipped
+    only if it is not shaped like an object (it does not start with ``{``
+    and end with ``}``). A decoded line that is not valid UTF-8 is skipped
+    and counted, so a compressed file fails the limit. Every non-blank line
+    counts toward the total, and more than 1% skipped lines rejects the
+    file.
 
     If no record is kept, a warning says so (``what`` is e.g. "comments
     matched subreddit") and, if any decoded line was skipped, how many
@@ -241,13 +249,16 @@ def _read_ndjson(
                 continue
             total += 1
             if want not in line.lower() and "\\u" not in line and not (slash and "\\/" in line):
-                if not (line.startswith("{") and line.endswith("}")):
+                if line[0] != "{" or line[-1] != "}":
                     skipped += 1
                 continue
             try:
                 if not line.isascii():
                     line.encode("utf-8")  # UnicodeEncodeError on an undecodable byte
-                record = parse(json.loads(line))
+                obj, end = _decode(line)
+                if end != len(line):
+                    raise ValueError("text after the JSON value")
+                record = parse(obj)
             except (ValueError, KeyError, TypeError, OverflowError):
                 skipped += 1
                 unread += 1
@@ -291,10 +302,12 @@ def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:
     want = subreddit.lower()
 
     def parse(obj: dict) -> CommentRecord | None:
-        created = _parse_epoch(obj["created_utc"])
-        sub = obj["subreddit"]
-        body = obj["body"]
-        score = _parse_score(obj["score"])
+        created, sub, body, score = obj["created_utc"], obj["subreddit"], obj["body"], obj["score"]
+        # an int (for the time, one in range) is kept as it is; the helpers read the rest
+        if type(created) is not int or not 0 < created <= MAX_EPOCH:
+            created = _parse_epoch(created)
+        if type(score) is not int:
+            score = _parse_score(score)
         if not isinstance(sub, str) or not isinstance(body, str):
             raise ValueError("bad field type")
         if abs(score) > sys.float_info.max:  # comment_table holds scores as float64
@@ -313,10 +326,13 @@ def _parse_iso_instant(value: object) -> int:
     """Epoch seconds from an ISO-8601 instant such as 2015-01-01T15:04:05Z."""
     if not isinstance(value, str):
         raise TypeError(f"bad timestamp type {type(value).__name__}")
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    dt = datetime.fromisoformat(text)
+    try:
+        dt = datetime.fromisoformat(value)
+    except ValueError:  # padding, a lowercase z, or a Z after a date alone
+        text = value.strip()
+        if text.endswith(("Z", "z")):
+            text = text[:-1] + "+00:00"
+        dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return _checked_epoch(int(dt.timestamp()))

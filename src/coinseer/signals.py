@@ -287,9 +287,9 @@ def github_all_signal(events: Sequence[EventRecord], calendar: Sequence[date]) -
     rows = _day_rows([rec.created_utc for rec in events], calendar)
     cols = np.array([col[rec.event_type] for rec in events], dtype=np.int64)
     inside = rows >= 0
-    values = np.zeros((len(calendar), len(EVENT_TYPES)), dtype=np.float64)
-    np.add.at(values, (rows[inside], cols[inside]), 1.0)
-    return _matrix(calendar, _GH_ALL_COLUMNS, values)
+    width = len(EVENT_TYPES)
+    counts = np.bincount(rows[inside] * width + cols[inside], minlength=len(calendar) * width)
+    return _matrix(calendar, _GH_ALL_COLUMNS, counts.reshape(-1, width).astype(np.float64))
 
 
 def github_popularity_signal(gh_all: SignalMatrix) -> SignalMatrix:
@@ -318,11 +318,13 @@ def reddit_language_signal(comments: CommentTable, vocabulary: Vocabulary) -> Si
     cols = column[comments.token_ids]
     rows = np.repeat(comments.day, np.diff(comments.offsets))
     keep = (rows >= 0) & (cols >= 0)
-    values = np.zeros((len(comments.calendar), len(vocabulary)), dtype=np.float64)
-    # counts are whole numbers, so every order of summing them is exact
-    np.add.at(values, (rows[keep], cols[keep]), 1.0)
-    totals = values.sum(axis=1, keepdims=True)
-    np.divide(values, totals, out=values, where=totals > 0)
+    width = len(vocabulary)
+    counts = np.bincount(rows[keep] * width + cols[keep], minlength=len(comments.calendar) * width)
+    counts = counts.reshape(-1, width)
+    # whole-number counts and totals are exact as float64, so the quotients
+    # are those of float counts
+    totals = counts.sum(axis=1, keepdims=True)
+    values = np.divide(counts, totals, out=np.zeros(counts.shape), where=totals > 0)
     return _matrix(comments.calendar, _language_columns(vocabulary), values)
 
 

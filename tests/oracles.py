@@ -1,17 +1,21 @@
 """Reference helpers that only the tests call: the batch loss and its
 gradients, backpropagation with one weight-gradient product per time
-step, the textbook Adam step, the reader of signal CSVs, and the UTC day
-of a timestamp."""
+step, the textbook Adam step, the reader of signal CSVs, the UTC day of
+a timestamp, the archive lines' decode and ISO-8601 times as json.loads
+and string rewriting read them, and the daily counts of np.add.at."""
 
 from __future__ import annotations
 
 import csv
+import json
 from datetime import date, datetime, timezone
+from typing import Sequence
 
 import numpy as np
 
-from coinseer import lstm
-from coinseer.signals import SignalMatrix
+from coinseer import ingest, lstm, signals
+from coinseer.ingest import EventRecord
+from coinseer.signals import CommentTable, SignalMatrix, Vocabulary
 
 
 def loss_and_grads(
@@ -180,3 +184,50 @@ def read_signal_csv(path: str) -> SignalMatrix:
 def day_of(created_utc: int) -> date:
     """UTC calendar day of an epoch timestamp."""
     return datetime.fromtimestamp(created_utc, timezone.utc).date()
+
+
+def loads_decode(line: str) -> tuple[object, int]:
+    """Oracle for ingest._decode on a stripped line: json.loads's verdict,
+    given as ``(value, end)`` with ``end`` the whole line."""
+    return json.loads(line), len(line)
+
+
+def rewritten_iso_instant(value: object) -> int:
+    """Oracle for ingest._parse_iso_instant: every value is stripped and a
+    trailing Z or z rewritten as +00:00 before datetime.fromisoformat."""
+    if not isinstance(value, str):
+        raise TypeError(f"bad timestamp type {type(value).__name__}")
+    text = value.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    dt = datetime.fromisoformat(text)
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return ingest._checked_epoch(int(dt.timestamp()))
+
+
+def add_at_github_all_signal(
+    events: Sequence[EventRecord], calendar: Sequence[date]
+) -> SignalMatrix:
+    """Oracle for signals.github_all_signal: one np.add.at of 1.0 per event."""
+    col = {name: j for j, name in enumerate(ingest.EVENT_TYPES)}
+    rows = signals._day_rows([rec.created_utc for rec in events], calendar)
+    cols = np.array([col[rec.event_type] for rec in events], dtype=np.int64)
+    inside = rows >= 0
+    values = np.zeros((len(calendar), len(ingest.EVENT_TYPES)), dtype=np.float64)
+    np.add.at(values, (rows[inside], cols[inside]), 1.0)
+    return SignalMatrix(tuple(calendar), signals._GH_ALL_COLUMNS, values)
+
+
+def add_at_reddit_language_signal(comments: CommentTable, vocabulary: Vocabulary) -> SignalMatrix:
+    """Oracle for signals.reddit_language_signal: one np.add.at of 1.0 per
+    vocabulary token, then each day's row divided by its float total."""
+    column = np.array([vocabulary.index.get(t, -1) for t in comments.tokens], dtype=np.int64)
+    cols = column[comments.token_ids]
+    rows = np.repeat(comments.day, np.diff(comments.offsets))
+    keep = (rows >= 0) & (cols >= 0)
+    values = np.zeros((len(comments.calendar), len(vocabulary)), dtype=np.float64)
+    np.add.at(values, (rows[keep], cols[keep]), 1.0)
+    totals = values.sum(axis=1, keepdims=True)
+    np.divide(values, totals, out=values, where=totals > 0)
+    return SignalMatrix(comments.calendar, signals._language_columns(vocabulary), values)

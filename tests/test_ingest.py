@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from coinseer import ingest
 from oracles import day_of
 
@@ -390,8 +391,8 @@ def test_every_spelling_of_the_wanted_name_is_decoded(tmp_path, monkeypatch):
     assert "cryptocurrency" not in reddit[1].lower() + reddit[2].lower()
     assert "bitcoin/bitcoin" not in github[1].lower() + github[2].lower()
     decoded = []
-    loads = json.loads
-    monkeypatch.setattr(json, "loads", lambda text: decoded.append(text) or loads(text))
+    decode = ingest._decode
+    monkeypatch.setattr(ingest, "_decode", lambda text: decoded.append(text) or decode(text))
     # the foreign lines are never decoded, save the repo whose name holds the wanted one
     for github_file, lines, names, decodes in (
         (False, reddit, ["CryptoCurrency", "CryptoCurrency", "cryptoCurrency", "cRYPTOcURRENCY"],
@@ -477,3 +478,188 @@ def test_lines_that_could_name_the_wanted_one_but_cannot_be_read_are_counted(
     with caplog.at_level("WARNING", logger="coinseer.ingest"):
         assert load(github, src) == []
     assert caplog.messages == [f"{src}: {want}"]
+
+
+def with_time(github, line, raw):
+    """``line`` with its created_utc or created_at spelled as raw JSON."""
+    key = "created_at" if github else "created_utc"
+    obj = json.loads(line)
+    return line.replace(f'"{key}": {json.dumps(obj[key])}', f'"{key}": {raw}')
+
+
+def decode_cases(github):
+    """Lines on which a JSON decoder's verdict is easy to get wrong, each
+    naming the wanted subreddit or repo (or escaping a character)."""
+    good = (event_line if github else comment_line)(date(2021, 1, 2), hour=7)
+    name = "bitcoin/bitcoin" if github else "CryptoCurrency"
+    return [
+        "﻿" + good,
+        good + " x",
+        good + good,
+        good + " " + good,
+        good + "\x1c" + good,
+        "[" + good + "]",
+        "12",
+        "12 " + good,
+        f'"{name}"',
+        "null",
+        f'null "{name}"',
+        with_time(github, good, "NaN"),
+        with_time(github, good, "Infinity"),
+        with_time(github, good, "-Infinity"),
+        good[:-1] + ', "extra": NaN}',
+        '{"x": Infinity, ' + good[1:],
+        good[:-1] + ', "type": "ForkEvent", "subreddit": "aww"}',
+        '{"type": "PushEvent", "subreddit": "aww", ' + good[1:],
+        good.replace(f'"{name}"', '"' + escaped(name) + '"'),
+        good[:-1] + ', "x": "\\u00e9t\\u00e9 \\ud800 \\udcff"}',
+        good[:-1] + ', "x": "\\ud83d\\ude80"}',
+        good[:-1] + ', "x": "\\u12"}',
+        good[:-1] + ', "x": "\udcff"}',
+        "\udcfe" + good,
+        "\x1c" + good + "\x1c\x1d",
+        "\x1c\x1e\x1f " + good,
+        good + "\x1c x",
+    ]
+
+
+def outcome(github, path, caplog, monkeypatch, decode):
+    """What loading ``path`` through ``decode`` gives: the records or the
+    error, and every log line."""
+    caplog.clear()
+    with monkeypatch.context() as m, caplog.at_level("DEBUG", logger="coinseer.ingest"):
+        m.setattr(ingest, "_decode", decode)
+        try:
+            got = load(github, path)
+        except ingest.IngestError as exc:
+            got = str(exc)
+    return got, caplog.record_tuples
+
+
+def assert_decoded_as_json_loads(github, path, lines, caplog, monkeypatch):
+    write_lines(path, lines)
+    expected = outcome(github, path, caplog, monkeypatch, oracles.loads_decode)
+    assert outcome(github, path, caplog, monkeypatch, ingest._decode) == expected
+    return expected
+
+
+@pytest.mark.parametrize("github", [False, True])
+def test_loaders_decode_each_line_as_json_loads_does(tmp_path, caplog, monkeypatch, github):
+    make = event_line if github else comment_line
+    good = [make(date(2021, 1, 1), hour=h % 24) for h in range(199)]
+    foreign = [event_line(date(2021, 1, 1), repo="torvalds/linux", hour=h % 24) if github
+               else comment_line(date(2021, 1, 1), sub="aww", hour=h % 24) for h in range(199)]
+    kept = []
+    for i, case in enumerate(decode_cases(github)):
+        # among records, and alone, where a skipped line shows in the warning
+        records, _ = assert_decoded_as_json_loads(
+            github, tmp_path / "a.ndjson", good + [case], caplog, monkeypatch)
+        if len(records) > len(good):
+            kept.append(i)
+        assert_decoded_as_json_loads(github, tmp_path / "b.ndjson", foreign + [case], caplog,
+                                     monkeypatch)
+    # kept: the extra NaN and Infinity keys, a duplicate key whose last value
+    # is the wanted one (on GitHub also a tracked type after the first), the
+    # escapes and the \x1c padding around one value
+    assert kept == [14, 15] + [16] * github + [17, 18, 19, 20, 24, 25]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    github=st.booleans(),
+    picks=st.lists(st.integers(0, 26), min_size=1, max_size=6),
+    goods=st.integers(0, 250),
+    foreigns=st.integers(0, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_mix_of_hard_lines_decodes_as_json_loads_does(
+    tmp_path, caplog, monkeypatch, github, picks, goods, foreigns, seed
+):
+    cases = decode_cases(github)
+    make = event_line if github else comment_line
+    lines = [cases[i] for i in picks]
+    lines += [make(date(2021, 1, 1 + h % 28), hour=h % 24) for h in range(goods)]
+    lines += [event_line(date(2021, 1, 1), repo="a/b") if github
+              else comment_line(date(2021, 1, 1), sub="aww")] * foreigns
+    rng = np.random.default_rng(seed)
+    assert_decoded_as_json_loads(github, tmp_path / "mix.ndjson",
+                                 [lines[i] for i in rng.permutation(len(lines))],
+                                 caplog, monkeypatch)
+
+
+#: Values of a comment's created_utc and score: ints in and out of range
+#: and every other JSON type.
+FIELD_VALUES = (0, 1, -1, 1609459200, ingest.MAX_EPOCH, ingest.MAX_EPOCH + 1, 10**30, -10**400,
+                True, False, 1.0, 1609459200.0, 1609459200.7, -0.0, 1e300, "1609459200",
+                "1609459200.5", " 7 ", "x", "", None, [], {}, [1609459200])
+
+
+@pytest.mark.parametrize("field", ["created_utc", "score"])
+def test_comment_times_and_scores_give_the_helpers_verdict(tmp_path, caplog, field):
+    """An int is read on a fast path: each value gives the record that
+    _parse_epoch and _parse_score make of it, or an unreadable line where
+    they raise (or where the score is beyond float64)."""
+    good = [comment_line(date(2021, 1, 1), hour=h % 24) for h in range(199)]
+    helper = ingest._parse_epoch if field == "created_utc" else ingest._parse_score
+    src = tmp_path / "r.ndjson"
+    for value in FIELD_VALUES:
+        write_lines(src, good + [comment_line(date(2021, 1, 1), body="the case")
+                                 .replace(f'"{field}": ', f'"{field}": {json.dumps(value)}, "_": ')])
+        try:
+            want = [helper(value)]
+            float(want[0])
+        except (ValueError, TypeError, OverflowError):
+            want = []
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="coinseer.ingest"):
+            records = ingest.load_reddit_comments(str(src), "cryptocurrency")
+        got = [getattr(r, field) for r in records if r.body == "the case"]
+        assert got == want, value
+        assert all(type(v) is int for v in got)
+        assert f"{src}: 200 lines read, {199 + len(want)} records kept, {1 - len(want)} lines skipped" \
+            in caplog.messages
+
+
+#: created_at values: Z and z, padding, naive and offset times, fractions,
+#: a date alone, a lone Z, an empty string and values that are not strings.
+ISO_INSTANTS = (
+    "2015-01-01T15:04:05Z", "2015-01-01T15:04:05z", " 2015-01-01T15:04:05Z ",
+    "\t2015-01-01T15:04:05z\n", "2015-01-01T15:04:05", "2015-01-01T15:04:05+05:30",
+    "2015-01-01T15:04:05-08:00", "2015-01-01T15:04:05.123456Z", "2015-01-01T15:04:05.5-08:00",
+    "2015-01-01", "2015-01-01Z", "2015-01-01z", " 2015-01-01 ", "Z", "z", "", " ",
+    "1970-01-01T00:00:00Z", "1970-01-01T00:00:01Z", "9999-12-31T23:59:59Z",
+    "9999-12-31T23:59:59-01:00", "2015-01-01 15:04:05Z", "2015-01-01T15:04Z", "20150101T150405Z",
+    "2015-01-01T15:04:05ZZ", "2015-01-01T15:04:05+00:00Z", "2015-01-01T15:04:05+0000",
+    "2015-13-01T00:00:00Z", "June 1st", 1420124645, 1.5, None, True, ["2015-01-01"],
+)
+
+
+def iso_verdict(parse, value):
+    try:
+        return parse(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("value", ISO_INSTANTS)
+def test_iso_instants_read_as_the_rewriting_oracle_reads_them(value):
+    assert iso_verdict(ingest._parse_iso_instant, value) == iso_verdict(
+        oracles.rewritten_iso_instant, value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    day=st.sampled_from(["2015-01-01", "20150101", "2015-W01-4", "2015-001", "0001-01-01",
+                         "9999-12-31", "1969-12-31", "2015-02-30"]),
+    sep=st.sampled_from(["", "T", "t", " ", "_"]),
+    time=st.sampled_from(["", "15", "15:04", "1504", "15:04:05", "150405", "15:04:05.5",
+                          "15:04:05,123", "15:04:05.1234567", "24:00:00", "23:59:60"]),
+    zone=st.sampled_from(["", "Z", "z", "+00:00", "-08:00", "+05:30", "+0530", "+05",
+                          "+24:00", "Zz", "+00:00Z"]),
+    pad=st.sampled_from(["", " ", "\t", "\x1c", "\n "]),
+)
+def test_generated_iso_instants_read_as_the_rewriting_oracle_reads_them(day, sep, time, zone, pad):
+    value = pad + day + sep + time + zone + pad
+    assert iso_verdict(ingest._parse_iso_instant, value) == iso_verdict(
+        oracles.rewritten_iso_instant, value)

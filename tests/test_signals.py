@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from coinseer import ingest, signals
 from coinseer.harness import grid, synthetic
 from coinseer.ingest import CommentRecord, EventRecord, PriceSeries, daily_calendar
+import oracles
 from oracles import day_of, read_signal_csv
 
 
@@ -120,6 +121,41 @@ def test_reddit_language_rows_normalize():
     npt.assert_array_equal(matrix.values[2], [0, 0, 0])
     sums = matrix.values.sum(axis=1)
     assert set(np.round(sums, 12)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_language_and_event_counts_equal_add_at_bitwise(seed):
+    """bincount over row * width + col gives np.add.at's bits: on days
+    with no vocabulary token, with comments and events off the calendar,
+    and with tokens repeated within and across comments."""
+    rng = np.random.default_rng(seed)
+    cal = daily_calendar(date(2021, 1, 1), date(2021, 1, 12))
+    words = [f"w{i}" for i in range(40)]
+    days = [cal[0] + timedelta(days=int(d)) for d in rng.integers(-3, len(cal) + 3, 400)]
+    comments = [
+        comment(day, " ".join(rng.choice(words, rng.integers(0, 30))) + " w0 w0", hour=h % 24)
+        for h, day in enumerate(days)
+        if day not in (cal[4], cal[7])  # days of out-of-vocabulary tokens only
+    ] + [comment(cal[4], "zz yy zz"), comment(cal[7], "")]
+    t = table(comments, calendar=cal)
+    assert (t.day < 0).any()
+    for size in (1, 7, 40):
+        vocab = signals.Vocabulary(tokens=tuple(words[:size]))
+        got = signals.reddit_language_signal(t, vocab)
+        want = oracles.add_at_reddit_language_signal(t, vocab)
+        assert got.columns == want.columns
+        assert got.values.dtype == want.values.dtype and got.values.shape == want.values.shape
+        assert got.values.tobytes() == want.values.tobytes()
+        assert not got.values[[4, 7]].any()
+    kinds = ingest.EVENT_TYPES
+    events = [event(day, kinds[k], hour=h % 24)
+              for h, (day, k) in enumerate(zip(days, rng.integers(0, len(kinds), len(days))))]
+    got = signals.github_all_signal(events, cal)
+    want = oracles.add_at_github_all_signal(events, cal)
+    assert got.columns == want.columns
+    assert got.values.dtype == want.values.dtype and got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.values.sum() < len(events)
 
 
 def test_reddit_score_quartiles():

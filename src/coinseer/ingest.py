@@ -323,7 +323,10 @@ def save_reddit_comments(path: str, comments: Iterable[CommentRecord]) -> None:
 
 
 def _parse_iso_instant(value: object) -> int:
-    """Epoch seconds from an ISO-8601 instant such as 2015-01-01T15:04:05Z."""
+    """Epoch seconds from an ISO-8601 instant such as 2015-01-01T15:04:05Z.
+
+    Surrounding whitespace and a trailing lowercase z are accepted, and a
+    time with no offset is read as UTC."""
     if not isinstance(value, str):
         raise TypeError(f"bad timestamp type {type(value).__name__}")
     try:

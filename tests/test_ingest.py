@@ -493,7 +493,7 @@ def decode_cases(github):
     good = (event_line if github else comment_line)(date(2021, 1, 2), hour=7)
     name = "bitcoin/bitcoin" if github else "CryptoCurrency"
     return [
-        "﻿" + good,
+        "\ufeff" + good,
         good + " x",
         good + good,
         good + " " + good,
@@ -617,8 +617,8 @@ def test_comment_times_and_scores_give_the_helpers_verdict(tmp_path, caplog, fie
         got = [getattr(r, field) for r in records if r.body == "the case"]
         assert got == want, value
         assert all(type(v) is int for v in got)
-        assert f"{src}: 200 lines read, {199 + len(want)} records kept, {1 - len(want)} lines skipped" \
-            in caplog.messages
+        counts = f"{199 + len(want)} records kept, {1 - len(want)} lines skipped"
+        assert f"{src}: 200 lines read, {counts}" in caplog.messages
 
 
 #: created_at values: Z and z, padding, naive and offset times, fractions,

@@ -318,9 +318,9 @@ def _run_shared(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 @functools.cache
-def _openblas_thread_control() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """The (get, set) thread-count functions of the OpenBLAS that numpy
-    loaded, or None (logged once) when none is found."""
+def _openblas_function(name: str) -> Callable | None:
+    """OpenBLAS's C function ``name`` (e.g. ``get_num_threads``) in the
+    library numpy loaded, under any of its export names, or None."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = {line.split()[-1] for line in fh if "blas" in line.lower() and "/" in line}
@@ -332,14 +332,23 @@ def _openblas_thread_control() -> tuple[Callable[[], int], Callable[[int], None]
         except OSError:
             continue
         for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
-            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
-            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
-    log.debug("no OpenBLAS thread control found; the grid runs at the default BLAS threads")
+            function = getattr(handle, f"{prefix}_{name}{suffix}", None)
+            if function is not None:
+                return function
     return None
+
+
+@functools.cache
+def _openblas_thread_control() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, or None (logged once) when none is found."""
+    get, set_ = _openblas_function("get_num_threads"), _openblas_function("set_num_threads")
+    if get is None or set_ is None:
+        log.debug("no OpenBLAS thread control found; the grid runs at the default BLAS threads")
+        return None
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
 
 
 @contextlib.contextmanager

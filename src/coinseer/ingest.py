@@ -11,6 +11,7 @@ import csv
 import json
 import logging
 import math
+import re
 import sys
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
@@ -35,6 +36,10 @@ EVENT_TYPES = (
 )
 
 _EVENT_BY_RAW = {name + "Event": name for name in EVENT_TYPES}
+
+#: A date alone before a sign, whose offset Python 3.11's fromisoformat
+#: would read as a time of day: 2015-01-01+05:30, 20150101-08, 2015-W01-4+05.
+_DATE_BEFORE_OFFSET = re.compile(r"\d{4}(?:-\d\d-\d\d|\d{4}|-W\d\d(?:-\d)?|W\d\d\d?)(?=[+-])", re.ASCII)
 
 #: Share of undecodable lines tolerated before an archive is rejected.
 MAX_SKIP_RATE = 0.01
@@ -326,13 +331,16 @@ def _parse_iso_instant(value: object) -> int:
     """Epoch seconds from an ISO-8601 instant such as 2015-01-01T15:04:05Z.
 
     Surrounding whitespace and a trailing lowercase z are accepted, and a
-    time with no offset is read as UTC."""
+    time with no offset is read as UTC. A date with an offset and no
+    time, such as 2015-01-01+05:30, is midnight at that offset."""
     if not isinstance(value, str):
         raise TypeError(f"bad timestamp type {type(value).__name__}")
+    text = value.strip()
+    if date_alone := _DATE_BEFORE_OFFSET.match(text):  # midnight at that offset
+        text = f"{date_alone[0]}T00:00{text[date_alone.end():]}"
     try:
-        dt = datetime.fromisoformat(value)
-    except ValueError:  # padding, a lowercase z, or a Z after a date alone
-        text = value.strip()
+        dt = datetime.fromisoformat(text)
+    except ValueError:  # a lowercase z, or a Z after a date alone
         if text.endswith(("Z", "z")):
             text = text[:-1] + "+00:00"
         dt = datetime.fromisoformat(text)

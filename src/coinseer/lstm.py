@@ -9,25 +9,24 @@ full backpropagation through time: only the recurrent product stays in
 the step loop, and each layer's weight, bias and input gradients are one
 product (or sum) over all of its time steps.
 
-All parameters live in one contiguous float64 buffer laid out
-``w1,b1,w2,b2,...,wd,bd | u1,u2,...``; ``Network.params`` holds named,
-reshaped views into it. With one-step windows (k=1) the recurrent
-weights ``u*`` never act, because the initial hidden state is zero, so
-the *live span* is the prefix before ``u1``, and ``init_network`` told
-k=1 leaves ``u*`` undrawn at zero. For k > 1 the whole buffer is live,
-and training runs over it in place.
+All parameters live in one contiguous float64 buffer, laid out in
+``param_shapes`` order (w1,u1,b1,w2,...,wd,bd); ``Network.params`` holds
+named, reshaped views into it.
 
-At k=1 the forget gate is dead as well: it only scales the zero initial
-cell (Gers, Schmidhuber & Cummins 2000), so its columns never change.
-Training then works on a packed copy of what acts, each layer's i|g|o
-weights and biases followed by ``wd`` and ``bd`` (``_OneStepSpan``), and
-copies the best epoch's values back into the buffer at the end. There is
-one forward, ``forward_batch``, and one backward, ``backward``: they read
-each layer's gate set from its weight width, so they run the span as
-they run the network. Over the span every product runs over i|g|o, the
-input gradient of each layer above the first included. A forward or
-weight-gradient product gives the bits of the same columns of the
-four-gate product wherever the BLAS computes a column alike at both
+Training works on one packed copy of what the window length trains
+(``_TrainingCopy``), and copies each epoch that improves the validation
+loss into the network. For k > 1 the copy holds every parameter. With
+one-step windows (k=1) the recurrent weights ``u*`` never act, because
+the initial hidden state is zero, and neither does the forget gate, which
+only scales the zero initial cell (Gers, Schmidhuber & Cummins 2000). So
+at k=1 the copy holds each layer's i|g|o weights and biases followed by
+``wd`` and ``bd``, and ``init_network`` told k=1 leaves ``u*`` undrawn at
+zero. There is one forward, ``forward_batch``, and one backward,
+``backward``: they read each layer's gate set from its weight width, so
+they run the copy as they run the network. At k=1 every product runs
+over i|g|o, the input gradient of each layer above the first included. A
+forward or weight-gradient product gives the bits of the same columns of
+the four-gate product wherever the BLAS computes a column alike at both
 widths: with OpenBLAS 0.3.31 on x86-64, at layer sizes that are
 multiples of 8 (tried: 8 to 48, and 400,800). The input gradient sums
 3h terms where the four-gate one sums 4h, of which the forget terms are
@@ -92,15 +91,6 @@ class Network:
         self.flat = np.zeros(sum(math.prod(shape) for _, shape in self._layout.values()))
         self.params = _views(self.flat, self._layout)
 
-    def live_size(self, k: int) -> int:
-        """Length of the prefix of ``flat`` that acts on k-step windows, and
-        so of the gradient ``backward`` writes."""
-        return self._layout["u1"][0] if k == 1 else self.flat.size
-
-    def locate(self, index: int) -> tuple[str, int]:
-        """Parameter name and element index of position ``index`` in ``flat``."""
-        return _locate(self._layout, index)
-
 
 class LayerCache(NamedTuple):
     inputs: np.ndarray
@@ -125,14 +115,13 @@ def param_shapes(input_dim: int, sizes: Sequence[int]) -> dict[str, tuple[int, .
 
 
 def _layout(shapes: dict[str, tuple[int, ...]]) -> Layout:
-    """(offset, shape) of each parameter in a flat buffer, keyed in
-    ``shapes`` order; offsets run w1,b1,...,wd,bd and then u1,u2,...."""
-    offsets: dict[str, int] = {}
+    """(offset, shape) of each parameter in a flat buffer, in ``shapes`` order."""
+    layout: Layout = {}
     offset = 0
-    for key in sorted(shapes, key=lambda name: name.startswith("u")):
-        offsets[key] = offset
-        offset += math.prod(shapes[key])
-    return {key: (offsets[key], shape) for key, shape in shapes.items()}
+    for key, shape in shapes.items():
+        layout[key] = (offset, shape)
+        offset += math.prod(shape)
+    return layout
 
 
 def _locate(layout: Layout, index: int) -> tuple[str, int]:
@@ -143,15 +132,11 @@ def _locate(layout: Layout, index: int) -> tuple[str, int]:
 
 
 def _views(buffer: np.ndarray, layout: Layout) -> ParamDict:
-    """Named views into ``buffer``; parameters past its end read as zeros."""
-    views: ParamDict = {}
-    for key, (offset, shape) in layout.items():
-        end = offset + math.prod(shape)
-        if end <= buffer.size:
-            views[key] = buffer[offset:end].reshape(shape)
-        else:
-            views[key] = np.broadcast_to(np.float64(0.0), shape)
-    return views
+    """Named views into ``buffer``."""
+    return {
+        key: buffer[offset : offset + math.prod(shape)].reshape(shape)
+        for key, (offset, shape) in layout.items()
+    }
 
 
 def init_network(
@@ -216,9 +201,9 @@ def forward_batch(
 
     Each step's gate block is computed in place in the cache, and the
     recurrent state is read back from the previous step's cache slots.
-    ``net`` is a Network or, at k=1, its ``_OneStepSpan``: each layer's
-    gate set is read from its weight width (``_cell_gate``), and the
-    forget term and ``u<l>`` are read only at t > 0.
+    ``net`` is a Network or its ``_TrainingCopy``: each layer's gate set
+    is read from its weight width (``_cell_gate``), and the forget term
+    and ``u<l>`` are read only at t > 0.
     """
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != net.input_dim:
@@ -275,24 +260,25 @@ def backward(
 
     Only the recurrent product ``dh = dz @ u.T`` runs inside the step
     loop; it writes each step's gate gradient ``dz`` into a per-layer
-    (batch, k, width) buffer, 4h wide, or 3h for a ``_OneStepSpan`` (see
-    ``_cell_gate``), which has no forget block to zero at t=0. After the
+    (batch, k, width) buffer, 4h wide, or 3h for a k=1 ``_TrainingCopy``
+    (see ``_cell_gate``), which has no forget block to zero at t=0. After the
     loop, each layer's time-independent products run once over the
     stacked steps (Appleyard, Kočiský & Blunsom 2016): ``dw = Xᵀ DZ`` over
     batch·k rows, ``du = H_{t-1}ᵀ DZ`` over the batch·(k-1) rows of steps
     1..k-1, the input gradient ``DZ wᵀ``, and one sum for ``db``. With
     k=1 these are the per-step products themselves.
 
-    Every element of the live span's gradient is written into ``out``
-    (a new buffer when None), laid out like ``net.flat[:live_size(k)]``.
-    The result maps each name to its view of ``out``; with k=1 the
-    recurrent weights get no space and read as zeros.
+    Every element of the gradient is written into ``out`` (a new buffer
+    when None), laid out like ``net.flat``; the result maps each name to
+    its view of ``out``. With k=1 the recurrent weights never act, so a
+    network's ``u<l>`` gradients are written as zeros (a k=1 training
+    copy has no ``u<l>``).
     """
     d = np.atleast_1d(np.asarray(d_preds, dtype=np.float64))
     batch, k, _ = layers[0].inputs.shape
     if d.shape != (batch,):
         raise ValueError(f"d_preds must have shape ({batch},), got {d.shape}")
-    size = net.live_size(k)
+    size = net.flat.size
     flat = np.empty(size) if out is None else out
     if flat.shape != (size,) or flat.dtype != np.float64:
         raise ValueError(f"gradient buffer must be float64 of shape ({size},)")
@@ -334,66 +320,68 @@ def backward(
         if k > 1:
             h_prev = lc.hidden[:, :-1].reshape(-1, h)
             np.matmul(h_prev.T, dzs[:, 1:].reshape(-1, 4 * h), out=grads[f"u{li}"])
+        elif f"u{li}" in grads:
+            grads[f"u{li}"][...] = 0.0
         # the first layer's input gradient would reach only the data
         if li > 1:
             d_seq = (stacked @ net.params[f"w{li}"].T).reshape(lc.inputs.shape)
     return grads
 
 
-class _OneStepSpan:
-    """The parameters that one-step windows train, packed contiguously.
+class _TrainingCopy:
+    """What k-step windows train of a network, packed into ``flat``.
 
-    ``flat`` holds each layer's i|g|o weights ``w<l>`` (in, 3h) and
-    biases ``b<l>`` (3h,), then ``wd`` and ``bd``; ``params`` names its
-    views. The span carries what ``forward_batch`` and ``backward`` read
-    of a network (``input_dim``, ``sizes``, ``params``, ``live_size`` and
-    the layout), so those two run it at k=1 as they run the network; they
-    read its 3h weight width as the gate set i|g|o. Every product then
-    runs over i|g|o alone, the layer-l input gradient (l > 1)
-    ``dz_igo @ w_igo.T`` included (see the module docstring for where its
-    bits match the four-gate path's). ``unpack`` copies the span into the
-    network and ``locate`` names the canonical element of a position.
+    For k > 1 that is every parameter, laid out as in the network. At k=1
+    it is each layer's i|g|o weights ``w<l>`` (in, 3h) and biases ``b<l>``
+    (3h,), then ``wd`` and ``bd`` (see the module docstring). The copy
+    carries what ``forward_batch`` and ``backward`` read of a network, so
+    those two run it as they run the network. ``unpack`` writes it into
+    the network and ``locate`` names the network element of a position;
+    both match each parameter to the network's by its shape.
     """
 
-    def __init__(self, net: Network) -> None:
-        self.net = net
-        self.input_dim = net.input_dim
-        self.sizes = net.sizes
-        # the network's shapes less u<l>, with three gates' columns of four
-        self._layout = _layout({
-            key: shape if key in ("wd", "bd") else (*shape[:-1], shape[-1] // 4 * 3)
-            for key, shape in param_shapes(net.input_dim, net.sizes).items() if key[0] != "u"
-        })
-        self.flat = np.empty(sum(math.prod(shape) for _, shape in self._layout.values()))
+    def __init__(self, net: Network, k: int) -> None:
+        self.net, self.input_dim, self.sizes = net, net.input_dim, net.sizes
+        shapes = param_shapes(net.input_dim, net.sizes)
+        if k == 1:  # less u<l>, with three gates' columns of four
+            shapes = {
+                key: shape if key in ("wd", "bd") else (*shape[:-1], shape[-1] // 4 * 3)
+                for key, shape in shapes.items() if key[0] != "u"
+            }
+        self._layout = _layout(shapes)
+        # One zeroed block for the copy and the three arrays _fit pairs
+        # with it: the gradient and Adam's moments. As four arrays they
+        # raised the peak resident size of a forked ablate worker that
+        # trains one experiment after another (glibc's heap kept them in
+        # pieces between experiments).
+        self.flat, *self.spare = np.zeros((4, sum(math.prod(s) for s in shapes.values())))
         self.params = _views(self.flat, self._layout)
         for full, packed in self._pairs():
             packed[...] = full
 
     def _pairs(self):
-        """(canonical, packed) views that together cover the span."""
-        for li, h in enumerate(self.sizes, start=1):
-            for key in (f"w{li}", f"b{li}"):
-                full, packed = self.net.params[key], self.params[key]
+        """(network, copy) views that together cover the copy."""
+        for key, packed in self.params.items():
+            full = self.net.params[key]
+            if full.shape == packed.shape:
+                yield full, packed
+            else:
+                h = packed.shape[-1] // 3
                 yield full[..., :h], packed[..., :h]  # the i columns
                 yield full[..., 2 * h :], packed[..., h:]  # the g|o columns
-        for key in ("wd", "bd"):
-            yield self.net.params[key], self.params[key]
-
-    def live_size(self, k: int) -> int:
-        """Length of ``flat``, the gradient ``backward`` writes at k=1."""
-        return self.flat.size
 
     def unpack(self) -> None:
-        """Copy the span into the network's parameters."""
+        """Write the copy into the network's parameters."""
         for full, packed in self._pairs():
             full[...] = packed
 
     def locate(self, index: int) -> tuple[str, int]:
-        """Parameter name and canonical element index of span position ``index``."""
+        """Parameter name and network element index of position ``index``."""
         key, element = _locate(self._layout, index)
-        if key in ("wd", "bd"):
+        full, packed = self.net.params[key], self.params[key]
+        if full.shape == packed.shape:
             return key, element
-        h = self.sizes[int(key[1:]) - 1]
+        h = packed.shape[-1] // 3
         row, col = divmod(element, 3 * h)
         return key, row * 4 * h + col + (h if col >= h else 0)
 
@@ -560,15 +548,18 @@ def train(
 ) -> TrainedModel:
     """Mini-batch ADAM with early stopping on validation MSE.
 
-    Shuffles sample order each epoch from config.seed, averages gradients
-    within each batch, and restores the parameters of the best validation
-    epoch before returning. The passed network is trained in place. With
-    k=1 only the packed one-step span (see the module docstring) is
-    trained, through the same ``forward_batch`` and ``backward`` as the
-    network, and then copied back, so the recurrent weights (zero if
-    ``init_network`` was told k=1) and the forget-gate columns keep their
-    initial values; for k > 1 every parameter trains. Each epoch's MSEs
-    and the best epoch are logged at debug level.
+    Shuffles sample order each epoch from config.seed and averages
+    gradients within each batch. Training runs over the one packed copy of
+    what ``fit_set``'s window length trains (see the module docstring),
+    through the same ``forward_batch`` and ``backward`` as the network.
+    Each epoch that lowers the validation MSE is copied into the passed
+    network, so on return it holds the best epoch's parameters. At k=1
+    the recurrent weights (zero if ``init_network`` was told k=1) and the
+    forget-gate columns keep their initial values; for k > 1 every
+    parameter trains. If training raises (a non-finite gradient, or a
+    diverged epoch), the network holds the best epoch so far, or its
+    initial values if no epoch ended. Each epoch's MSEs and the best epoch
+    are logged at debug level.
     """
     if fit_set.feature_names != val_set.feature_names:
         raise ValueError("fit and validation feature names differ")
@@ -581,12 +572,7 @@ def train(
         )
     if len(fit_set) < 1 or len(val_set) < 1:
         raise ValueError("fit and validation sets must be nonempty")
-    if fit_set.k == 1:
-        span = _OneStepSpan(net)
-        history, best_epoch = _fit(span, fit_set, val_set, config)
-        span.unpack()
-    else:
-        history, best_epoch = _fit(net, fit_set, val_set, config)
+    history, best_epoch = _fit(net, fit_set, val_set, config)
     return TrainedModel(
         network=net,
         norm=norm,
@@ -599,26 +585,21 @@ def train(
 
 
 def _fit(
-    model: Network | _OneStepSpan,
+    net: Network,
     fit_set: WindowedDataset,
     val_set: WindowedDataset,
     config: TrainConfig,
 ) -> tuple[tuple[EpochStats, ...], int]:
-    """train's epoch loop over the live parameters of ``model``, a
-    network or a one-step span: ``forward_batch`` reads them, ``backward``
-    writes their gradient and ``model.locate`` names a position. Leaves
-    the best epoch's values in ``model`` and returns the history and the
-    best epoch."""
-    span = model.flat[: model.live_size(fit_set.k)]
+    """train's epoch loop over the ``_TrainingCopy`` of ``net`` for
+    ``fit_set``'s window length: ``forward_batch`` reads the copy,
+    ``backward`` writes its gradient and its ``locate`` names a position.
+    Copies each improving epoch into ``net``, and returns the history and
+    the best epoch."""
+    copy = _TrainingCopy(net, fit_set.k)
+    grad, m, v = copy.spare
     rng = np.random.default_rng(config.seed)
-    # One zeroed block for the best-epoch copy, the gradient and Adam's
-    # moments. As four arrays they raised the peak resident size of a
-    # forked ablate worker that trains one experiment after another
-    # (glibc's heap kept them in pieces between experiments).
-    best, grad, m, v = np.zeros((4, span.size))
-    best[...] = span
-    params, grads = {"live": span}, {"live": grad}
-    state = AdamState(m={"live": m}, v={"live": v})
+    params, grads = {"copy": copy.flat}, {"copy": grad}
+    state = AdamState(m={"copy": m}, v={"copy": v})
     stopper = EarlyStopper(config.patience)
     history: list[EpochStats] = []
     n = len(fit_set)
@@ -628,16 +609,16 @@ def _fit(
         sse = 0.0
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
-            preds, cache = forward_batch(model, fit_set.inputs[idx])
+            preds, cache = forward_batch(copy, fit_set.inputs[idx])
             resid = preds - fit_set.targets[idx]
             sse += float(resid @ resid)
-            backward(model, cache, (2.0 / idx.size) * resid, out=grad)
+            backward(copy, cache, (2.0 / idx.size) * resid, out=grad)
             step += 1
             try:
                 adam_step(params, grads, state, step, config)
             except NonFiniteGradient as exc:
-                raise NonFiniteGradient(*model.locate(exc.index)) from None
-        val_preds, _ = forward_batch(model, val_set.inputs)
+                raise NonFiniteGradient(*copy.locate(exc.index)) from None
+        val_preds, _ = forward_batch(copy, val_set.inputs)
         val_resid = val_preds - val_set.targets
         val_mse = float(val_resid @ val_resid) / val_resid.size
         if not math.isfinite(val_mse):
@@ -645,10 +626,9 @@ def _fit(
         history.append(EpochStats(epoch, sse / n, val_mse))
         log.debug("epoch %d: train MSE %.6g, validation MSE %.6g", epoch, sse / n, val_mse)
         if stopper.update(val_mse):
-            np.copyto(best, span)
+            copy.unpack()
         if stopper.should_stop:
             break
-    np.copyto(span, best)
     log.debug("best epoch %d of %d", stopper.best_epoch, len(history))
     return tuple(history), stopper.best_epoch
 

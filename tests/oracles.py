@@ -2,11 +2,13 @@
 gradients, backpropagation with one weight-gradient product per time
 step, the textbook Adam step, the reader of signal CSVs, the UTC day of
 a timestamp, the archive lines' decode and ISO-8601 times as json.loads
-and string rewriting read them, and the daily counts of np.add.at."""
+and string rewriting read them, the daily counts of np.add.at, and the
+name of the OpenBLAS kernels that recorded digests depend on."""
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 from datetime import date, datetime, timezone
 from typing import Sequence
@@ -14,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from coinseer import ingest, lstm, signals
+from coinseer.harness import grid
 from coinseer.ingest import EventRecord
 from coinseer.signals import CommentTable, SignalMatrix, Vocabulary
 
@@ -43,22 +46,22 @@ def per_step_backward(
     Each step's ``dw``/``du`` term is computed into a full-size scratch
     array and added; the input gradient runs once per step. As in
     lstm.backward, each layer's gate set is read from its weight width,
-    i|f|g|o (4h) or a one-step span's i|g|o (3h), and the forget term and
+    i|f|g|o (4h) or a k=1 training copy's i|g|o (3h), and the forget term and
     ``u`` are read only at t > 0. Exact
     backpropagation through time over every layer and step. The
     t=0 recurrent terms are skipped because the initial states are zero,
     which makes those contributions identically zero.
 
-    Every element of the live span's gradient is written into ``out``
-    (a new buffer when None), laid out like ``net.flat[:live_size(k)]``.
-    The result maps each name to its view of ``out``; with k=1 the
-    recurrent weights get no space and read as zeros.
+    Every element of the gradient is written into ``out`` (a new buffer
+    when None), laid out like ``net.flat``; the result maps each name to
+    its view of ``out``. With k=1 a network's ``u<l>`` gradients are
+    written as zeros.
     """
     d = np.atleast_1d(np.asarray(d_preds, dtype=np.float64))
     batch, k, _ = layers[0].inputs.shape
     if d.shape != (batch,):
         raise ValueError(f"d_preds must have shape ({batch},), got {d.shape}")
-    size = net.live_size(k)
+    size = net.flat.size
     flat = np.empty(size) if out is None else out
     if flat.shape != (size,) or flat.dtype != np.float64:
         raise ValueError(f"gradient buffer must be float64 of shape ({size},)")
@@ -124,6 +127,8 @@ def per_step_backward(
                     du += du_step
                 dh = dz @ net.params[f"u{li}"].T
                 dc = dc * gf
+        if k == 1 and f"u{li}" in grads:
+            grads[f"u{li}"][...] = 0.0
         d_seq = d_in
     return grads
 
@@ -193,11 +198,21 @@ def loads_decode(line: str) -> tuple[object, int]:
 
 
 def rewritten_iso_instant(value: object) -> int:
-    """Oracle for ingest._parse_iso_instant: every value is stripped and a
-    trailing Z or z rewritten as +00:00 before datetime.fromisoformat."""
+    """Oracle for ingest._parse_iso_instant: every value is stripped; a
+    date alone that a sign follows (the longest text before a + or - that
+    date.fromisoformat reads) gets T00:00 inserted before the sign; and a
+    trailing Z or z is rewritten as +00:00 before datetime.fromisoformat."""
     if not isinstance(value, str):
         raise TypeError(f"bad timestamp type {type(value).__name__}")
     text = value.strip()
+    for cut in range(len(text) - 1, 0, -1):
+        if text[cut] in "+-":
+            try:
+                date.fromisoformat(text[:cut])
+            except ValueError:
+                continue
+            text = text[:cut] + "T00:00" + text[cut:]
+            break
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
     dt = datetime.fromisoformat(text)
@@ -231,3 +246,18 @@ def add_at_reddit_language_signal(comments: CommentTable, vocabulary: Vocabulary
     totals = values.sum(axis=1, keepdims=True)
     np.divide(values, totals, out=values, where=totals > 0)
     return SignalMatrix(comments.calendar, signals._language_columns(vocabulary), values)
+
+
+def blas_core_name() -> str:
+    """The kernel set OpenBLAS chose for this CPU (its get_corename, e.g.
+    SkylakeX), read in the library that harness.grid finds, or "unknown"."""
+    get_corename = grid._openblas_function("get_corename")
+    if get_corename is None:
+        return "unknown"
+    get_corename.restype, get_corename.argtypes = ctypes.c_char_p, []
+    return get_corename().decode("ascii")
+
+
+def recorded_with(core: str) -> str:
+    """Assertion message for a digest recorded with OpenBLAS kernel set ``core``."""
+    return f"digest recorded with OpenBLAS's {core} kernels; this run has {blas_core_name()}"

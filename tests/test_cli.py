@@ -17,7 +17,7 @@ from coinseer import cli, ingest, lstm, signals
 from coinseer.harness import grid
 from coinseer.harness import report as harness_report
 from coinseer.harness import synthetic
-from oracles import read_signal_csv, textbook_adam_step
+from oracles import read_signal_csv, recorded_with, textbook_adam_step
 
 
 def run(argv):
@@ -293,6 +293,10 @@ def test_train_then_forecast_round_trip(tmp_path, capsys):
     assert isinstance(payload["prediction_usd"], float)
 
 
+#: The OpenBLAS kernel set (oracles.blas_core_name) that both digest sets
+#: below were recorded with.
+TRAIN_FORECAST_BLAS_CORE = "SkylakeX"
+
 # sha256 of the model file and of the forecast line of a small
 # `train --synthetic` run per window size, recorded before k=1 training
 # moved to its packed one-step span (numpy 2.4.6, OpenBLAS 0.3.31,
@@ -336,7 +340,7 @@ def synthetic_train_and_forecast_digests(tmp_path, capsys, k):
 @pytest.mark.parametrize("k", sorted(RESCALED_ADAM_TRAIN_FORECAST_SHA256))
 def test_train_and_forecast_bytes_match_record(tmp_path, capsys, k):
     digests, model = synthetic_train_and_forecast_digests(tmp_path, capsys, k)
-    assert digests == RESCALED_ADAM_TRAIN_FORECAST_SHA256[k]
+    assert digests == RESCALED_ADAM_TRAIN_FORECAST_SHA256[k], recorded_with(TRAIN_FORECAST_BLAS_CORE)
     params = lstm.load_model(str(model)).network.params
     # at k=1 the recurrent weights are never drawn, so they are saved as zeros
     assert all(params[key].any() == (k != "1") for key in ("u1", "u2"))
@@ -350,7 +354,7 @@ def test_textbook_adam_step_and_full_draw_reproduce_recorded_train_and_forecast_
     monkeypatch.setattr(lstm, "init_network", lambda *args, k=None, **kw: full_draw(*args, **kw))
     monkeypatch.setattr(lstm, "adam_step", textbook_adam_step)
     digests, _ = synthetic_train_and_forecast_digests(tmp_path, capsys, k)
-    assert digests == TRAIN_FORECAST_SHA256[k]
+    assert digests == TRAIN_FORECAST_SHA256[k], recorded_with(TRAIN_FORECAST_BLAS_CORE)
 
 
 def record_matrices(monkeypatch):

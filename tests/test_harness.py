@@ -15,6 +15,7 @@ from coinseer.harness import report as harness_report
 from coinseer.ingest import PriceSeries
 from coinseer.metrics import MetricsReport
 from coinseer.signals import bundled_lexicon
+from oracles import recorded_with
 
 
 def small_options(**overrides):
@@ -400,6 +401,10 @@ def golden_results():
 
 # sha256 of every file that emit_report and save_results write for
 # golden_results(), in emit_report's order; results.json comes last.
+# These files hold no trained value, so no BLAS product reaches them;
+# REPORT_SHA256_BLAS_CORE names the OpenBLAS kernel set
+# (oracles.blas_core_name) that they were recorded with all the same.
+REPORT_SHA256_BLAS_CORE = "SkylakeX"
 GOLDEN_REPORT_SHA256 = {
     "ranking.csv": "8a984a37d4a68483d7c6524384856b15d8e0e48ba526a622a84ad458338b384f",
     "metrics.csv": "ece0f96c047fdf87f083d3e48ddad48c5067db3422a3fd27d87696537ef2445e",
@@ -442,7 +447,7 @@ def test_report_bytes_match_recorded_digests(tmp_path):
         for p in [tmp_path / "out" / w.split("/")[-1] for w in written] + [path]
     }
     assert [w.split("/")[-1] for w in written] == list(GOLDEN_REPORT_SHA256)[:-1]
-    assert digests == GOLDEN_REPORT_SHA256
+    assert digests == GOLDEN_REPORT_SHA256, recorded_with(REPORT_SHA256_BLAS_CORE)
 
     loaded = harness_report.load_results(str(path))
     harness_report.save_results(str(tmp_path / "again.json"), loaded)

@@ -622,7 +622,8 @@ def test_comment_times_and_scores_give_the_helpers_verdict(tmp_path, caplog, fie
 
 
 #: created_at values: Z and z, padding, naive and offset times, fractions,
-#: a date alone, a lone Z, an empty string and values that are not strings.
+#: a date alone, a date with an offset and no time, a lone Z, an empty
+#: string and values that are not strings.
 ISO_INSTANTS = (
     "2015-01-01T15:04:05Z", "2015-01-01T15:04:05z", " 2015-01-01T15:04:05Z ",
     "\t2015-01-01T15:04:05z\n", "2015-01-01T15:04:05", "2015-01-01T15:04:05+05:30",
@@ -632,6 +633,8 @@ ISO_INSTANTS = (
     "9999-12-31T23:59:59-01:00", "2015-01-01 15:04:05Z", "2015-01-01T15:04Z", "20150101T150405Z",
     "2015-01-01T15:04:05ZZ", "2015-01-01T15:04:05+00:00Z", "2015-01-01T15:04:05+0000",
     "2015-13-01T00:00:00Z", "June 1st", 1420124645, 1.5, None, True, ["2015-01-01"],
+    "2015-01-01+05:30", "2015-01-01-08:00", "20150101+0530", "2015-W01-4+05", "2015-W01-08:00",
+    "2015-01-01+05:30Z", "2015-01-01+00:00Z", "2015-13-01+05:30", "2015-01-01+5",
 )
 
 
@@ -650,8 +653,8 @@ def test_iso_instants_read_as_the_rewriting_oracle_reads_them(value):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    day=st.sampled_from(["2015-01-01", "20150101", "2015-W01-4", "2015-001", "0001-01-01",
-                         "9999-12-31", "1969-12-31", "2015-02-30"]),
+    day=st.sampled_from(["2015-01-01", "20150101", "2015-W01-4", "2015W014", "2015-W01", "2015-001",
+                         "0001-01-01", "9999-12-31", "1969-12-31", "2015-02-30"]),
     sep=st.sampled_from(["", "T", "t", " ", "_"]),
     time=st.sampled_from(["", "15", "15:04", "1504", "15:04:05", "150405", "15:04:05.5",
                           "15:04:05,123", "15:04:05.1234567", "24:00:00", "23:59:60"]),
@@ -663,3 +666,15 @@ def test_generated_iso_instants_read_as_the_rewriting_oracle_reads_them(day, sep
     value = pad + day + sep + time + zone + pad
     assert iso_verdict(ingest._parse_iso_instant, value) == iso_verdict(
         oracles.rewritten_iso_instant, value)
+
+
+@pytest.mark.parametrize("value, utc", [
+    ("2015-01-01+05:30", datetime(2014, 12, 31, 18, 30, tzinfo=timezone.utc)),
+    ("2015-01-01-08:00", datetime(2015, 1, 1, 8, 0, tzinfo=timezone.utc)),
+])
+def test_a_date_with_an_offset_and_no_time_is_midnight_at_that_offset(tmp_path, value, utc):
+    assert ingest._parse_iso_instant(value) == int(utc.timestamp())
+    src = tmp_path / "g.ndjson"
+    write_lines(src, [json.dumps({"type": "WatchEvent", "created_at": value, "repo": {"name": "a/b"}})])
+    (record,) = ingest.load_github_events(str(src), "a/b")
+    assert record.created_utc == int(utc.timestamp())

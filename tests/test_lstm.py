@@ -13,7 +13,7 @@ import pytest
 
 from coinseer import lstm
 from coinseer.dataset import NormParams, WindowedDataset
-from oracles import loss_and_grads, per_step_backward, textbook_adam_step
+from oracles import loss_and_grads, per_step_backward, recorded_with, textbook_adam_step
 
 
 def toy_dataset(inputs, targets, k, feature_names=None, j=1):
@@ -129,7 +129,7 @@ def test_network_validates_params():
 
 def test_params_are_views_of_one_flat_buffer():
     net = lstm.init_network(2, (3, 4), seed=1)
-    order = ("w1", "b1", "w2", "b2", "wd", "bd", "u1", "u2")
+    order = ("w1", "u1", "b1", "w2", "u2", "b2", "wd", "bd")
     offset = 0
     for key in order:
         param = net.params[key]
@@ -137,11 +137,11 @@ def test_params_are_views_of_one_flat_buffer():
         assert param.ctypes.data == net.flat.ctypes.data + 8 * offset
         offset += param.size
     assert offset == net.flat.size == 205
-    assert net.live_size(1) == 105
-    assert net.live_size(2) == net.live_size(7) == 205
-    assert net.locate(0) == ("w1", 0)
-    assert net.locate(104) == ("bd", 0)
-    assert net.locate(151) == ("u2", 10)
+    assert lstm._TrainingCopy(net, 1).flat.size == 80
+    assert lstm._TrainingCopy(net, 2).flat.size == lstm._TrainingCopy(net, 7).flat.size == 205
+    assert lstm._locate(net._layout, 0) == ("w1", 0)
+    assert lstm._locate(net._layout, 204) == ("bd", 0)
+    assert lstm._locate(net._layout, 130) == ("u2", 10)
 
 
 def test_forward_matches_scalar_reference():
@@ -404,8 +404,8 @@ def test_train_is_bitwise_equal_to_per_array_oracle(monkeypatch, sizes, k, chunk
 def test_one_step_train_with_a_one_row_last_batch_matches_per_array_oracle(sizes):
     # 21 rows in batches of 5: the last batch is one row, so its forward
     # products are matrix-vector products. Layer widths are multiples of
-    # 8, where the span's products are bitwise equal to the four-gate ones
-    # (see test_one_step_span_matches_the_four_gate_path).
+    # 8, where the k=1 training copy's products are bitwise equal to the
+    # four-gate ones (see test_one_step_span_matches_the_four_gate_path).
     rng = np.random.default_rng(19)
     fit = random_task(rng, 21, 1, 3)
     val = random_task(rng, 7, 1, 3)
@@ -434,18 +434,20 @@ def test_one_step_span_matches_the_four_gate_path(sizes):
         return np.allclose(got, want, rtol=1e-12, atol=0.0)
 
     net = lstm.init_network(3, sizes, seed=5)
-    span = lstm._OneStepSpan(net)
-    # every span position holds the canonical element locate names
-    for pos in range(span.flat.size):
-        name, element = span.locate(pos)
-        assert span.flat[pos] == net.params[name].reshape(-1)[element], pos
-    live = set(range(net.live_size(1)))
+    copy = lstm._TrainingCopy(net, 1)
+    # every copy position holds the canonical element locate names
+    for pos in range(copy.flat.size):
+        name, element = copy.locate(pos)
+        assert copy.flat[pos] == net.params[name].reshape(-1)[element], pos
+    # the network positions outside the recurrent weights u<l>
+    live = {offset + element for name, (offset, shape) in net._layout.items()
+            if name[0] != "u" for element in range(math.prod(shape))}
     located = {net._layout[name][0] + element
-               for name, element in map(span.locate, range(span.flat.size))}
-    assert len(located) == span.flat.size and located <= live
+               for name, element in map(copy.locate, range(copy.flat.size))}
+    assert len(located) == copy.flat.size and located <= live
     # what is left out is exactly the forget-gate columns
     for pos in live - located:
-        name, element = net.locate(pos)
+        name, element = lstm._locate(net._layout, pos)
         h = net.sizes[int(name[1:]) - 1]
         assert name[0] in "wb" and h <= element % (4 * h) < 2 * h
 
@@ -453,20 +455,20 @@ def test_one_step_span_matches_the_four_gate_path(sizes):
     for batch in (1, 2, 7, 16):
         windows = rng.normal(size=(batch, 1, 3))
         want_preds, want_cache = lstm.forward_batch(net, windows)
-        got_preds, got_cache = lstm.forward_batch(span, windows)
+        got_preds, got_cache = lstm.forward_batch(copy, windows)
         assert same(got_preds, want_preds), batch
         d = rng.normal(size=batch)
         want = lstm.backward(net, want_cache, d)
-        got = np.full(span.flat.size, np.nan)
-        lstm.backward(span, got_cache, d, out=got)
-        want_span = np.array([want[name].reshape(-1)[element]
-                              for name, element in map(span.locate, range(got.size))])
-        assert same(got, want_span), batch
+        got = np.full(copy.flat.size, np.nan)
+        lstm.backward(copy, got_cache, d, out=got)
+        want_copy = np.array([want[name].reshape(-1)[element]
+                              for name, element in map(copy.locate, range(got.size))])
+        assert same(got, want_copy), batch
     before = net.flat.copy()
-    span.unpack()
+    copy.unpack()
     assert net.flat.tobytes() == before.tobytes()
-    span.flat += 1.0
-    span.unpack()
+    copy.flat += 1.0
+    copy.unpack()
     changed = np.flatnonzero(net.flat != before)
     assert sorted(changed) == sorted(located)
 
@@ -481,15 +483,15 @@ def test_one_step_span_at_the_pinned_sizes():
     # largest element (about 1e-15 measured).
     rtol = 1e-12
     net = lstm.init_network(47, (400, 800), seed=5)
-    span = lstm._OneStepSpan(net)
+    copy = lstm._TrainingCopy(net, 1)
     rng = np.random.default_rng(47)
     windows = rng.normal(size=(16, 1, 47))
     want_preds, want_cache = lstm.forward_batch(net, windows)
-    got_preds, got_cache = lstm.forward_batch(span, windows)
+    got_preds, got_cache = lstm.forward_batch(copy, windows)
     assert got_preds.tobytes() == want_preds.tobytes()
     d = rng.normal(size=16)
     want = lstm.backward(net, want_cache, d)
-    got = lstm.backward(span, got_cache, d)
+    got = lstm.backward(copy, got_cache, d)
     for key, g in got.items():
         if key in ("wd", "bd"):
             w = want[key]
@@ -505,28 +507,85 @@ def test_one_step_span_at_the_pinned_sizes():
 
 def test_a_layer_without_forget_gate_serves_only_one_step_windows():
     net = lstm.init_network(3, (4, 5), seed=2)
-    span = lstm._OneStepSpan(net)
+    copy = lstm._TrainingCopy(net, 1)
     windows = np.random.default_rng(3).normal(size=(2, 2, 3))
     with pytest.raises(ValueError, match=r"layer 1 .* i\|g\|o \(12\) serves only k=1, not k=2"):
-        lstm.forward_batch(span, windows)
+        lstm.forward_batch(copy, windows)
     _, cache = lstm.forward_batch(net, windows)
     with pytest.raises(ValueError, match=r"layer 2 .* i\|g\|o \(15\) serves only k=1, not k=2"):
-        lstm.backward(span, cache, np.ones(2))
+        lstm.backward(copy, cache, np.ones(2))
 
 
-# (k, position in the flat buffer, parameter, element) for net (2, (3, 4)):
-# the live span is 105 elements at k=1 and all 205 at k=3.
+@pytest.mark.parametrize("k", [2, 7])
+def test_training_copy_above_one_step_holds_and_unpacks_every_parameter(k):
+    net = lstm.init_network(3, (4, 6), seed=5)
+    copy = lstm._TrainingCopy(net, k)
+    assert copy._layout == net._layout
+    assert copy.flat.tobytes() == net.flat.tobytes()
+    assert not np.shares_memory(copy.flat, net.flat)
+    for pos in range(copy.flat.size):
+        name, element = copy.locate(pos)
+        assert (name, element) == lstm._locate(net._layout, pos)
+        assert copy.flat[pos] == net.params[name].reshape(-1)[element], pos
+    before = net.flat.copy()
+    copy.unpack()
+    assert net.flat.tobytes() == before.tobytes()
+    copy.flat += 1.0
+    copy.unpack()
+    assert net.flat.tobytes() == (before + 1.0).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_failed_train_leaves_the_best_epoch_so_far_in_the_network(monkeypatch, k):
+    # the gradient turns NaN in epoch 2, after epoch 1 improved (the first
+    # epoch always does): the network holds epoch 1's parameters, as the
+    # per-array oracle trained for one epoch leaves them
+    rng = np.random.default_rng(17)
+    fit = random_task(rng, 23, k, 3)
+    val = random_task(rng, 7, k, 3)
+    config = lstm.TrainConfig(seed=4, batch_size=5, learning_rate=0.05,
+                              max_epochs=12, patience=3)
+    net = lstm.init_network(3, (4, 6), seed=8)
+    initial = net.flat.copy()
+    want_params, _, _ = per_array_train(
+        net, fit, val, lstm.TrainConfig(seed=4, batch_size=5, learning_rate=0.05, max_epochs=1))
+    batches = -(-len(fit) // config.batch_size)
+    calls = 0
+    real_backward = lstm.backward
+
+    def backward_failing_in_epoch_2(*args, **kwargs):
+        nonlocal calls
+        grads = real_backward(*args, **kwargs)
+        calls += 1
+        if calls == batches + 2:
+            kwargs["out"][0] = np.nan
+        return grads
+
+    monkeypatch.setattr(lstm, "backward", backward_failing_in_epoch_2)
+    norm = NormParams(columns=("f0", "f1", "f2"), mins=np.zeros(3), maxs=np.ones(3))
+    with pytest.raises(ArithmeticError, match=r"parameter w1 at element 0$"):
+        lstm.train(net, fit, val, config, norm=norm)
+    assert calls == batches + 2
+    assert not np.array_equal(net.flat, initial)
+    for key, want in want_params.items():
+        assert net.params[key].tobytes() == want.tobytes(), key
+
+
+# (k, position in the flat buffer, parameter, element) for net (2, (3, 4)),
+# whose 205 elements hold w1 at 0, u1 at 24, b1 at 60, w2 at 72, u2 at
+# 120, b2 at 184, wd at 200 and bd at 204. The k=3 training copy has the
+# same layout.
 POISON_SITES = [
     (1, 0, "w1", 0),
-    (1, 104, "bd", 0),
-    (1, 82, "w2", 46),
+    (1, 204, "bd", 0),
+    (1, 118, "w2", 46),
     (3, 0, "w1", 0),
-    (3, 204, "u2", 63),
-    (3, 151, "u2", 10),
+    (3, 183, "u2", 63),
+    (3, 130, "u2", 10),
 ]
 
 
-# (parameter, canonical element) -> position in the k=1 span of net
+# (parameter, canonical element) -> position in the k=1 training copy of net
 # (2, (3, 4)), which packs w1 (2, 9) at 0, b1 at 18, w2 (3, 12) at 27,
 # b2 at 63, wd at 75 and bd at 79. w2 element 46 is row 2, column 14 of
 # i|f|g|o (the o block), so column 10 of i|g|o: 27 + 2 * 12 + 10.
@@ -538,7 +597,10 @@ ONE_STEP_SPAN_POSITION = {("w1", 0): 0, ("bd", 0): 79, ("w2", 46): 61}
 def test_non_finite_gradient_is_named_and_changes_nothing(monkeypatch, k, pos, name, element, bad):
     net = lstm.init_network(2, (3, 4), seed=1)
     assert np.shares_memory(net.flat[pos : pos + 1], net.params[name].reshape(-1)[element : element + 1])
-    live = net.flat[: net.live_size(k)]
+    # backward writes the training copy's gradient, so the poison goes to
+    # the copy's position of the element
+    grad_pos = ONE_STEP_SPAN_POSITION[name, element] if k == 1 else pos
+    live = lstm._TrainingCopy(net, k).flat
     config = lstm.TrainConfig()
 
     # adam_step checks the whole gradient before it touches anything
@@ -548,18 +610,15 @@ def test_non_finite_gradient_is_named_and_changes_nothing(monkeypatch, k, pos, n
     for t in (1, 2):
         lstm.adam_step(params, {"live": rng.normal(size=live.size)}, state, t, config)
     grad = rng.normal(size=live.size)
-    grad[pos] = bad
+    grad[grad_pos] = bad
     before = [a.copy() for a in (live, state.m["live"], state.v["live"])]
-    with pytest.raises(ArithmeticError, match=rf"non-finite gradient for parameter live at element {pos}$"):
+    with pytest.raises(ArithmeticError, match=rf"non-finite gradient for parameter live at element {grad_pos}$"):
         lstm.adam_step(params, {"live": grad}, state, 3, config)
     for was, now in zip(before, (live, state.m["live"], state.v["live"])):
         assert now.tobytes() == was.tobytes()
 
-    # train names the parameter the element belongs to; at k=1 backward
-    # writes the one-step span's gradient, so the poison goes to the span
-    # position of the element
+    # train names the parameter the element belongs to
     initial = net.flat.copy()
-    grad_pos = ONE_STEP_SPAN_POSITION[name, element] if k == 1 else pos
     real_backward = lstm.backward
 
     def poisoned_backward(*args, **kwargs):
@@ -703,6 +762,11 @@ def test_model_round_trip_and_deterministic_bytes(tmp_path):
         lstm.load_model(str(junk))
 
 
+#: The OpenBLAS kernel set (oracles.blas_core_name) that the three digest
+#: sets below were recorded with. numpy's OpenBLAS picks its kernels by
+#: CPU at run time, and another set may round a product differently.
+MODEL_SHA256_BLAS_CORE = "SkylakeX"
+
 # sha256 of save_model's bytes for small_trained_model(k, sizes), recorded
 # by the code that kept each parameter in its own array (numpy 2.4.6,
 # OpenBLAS 0.3.31, x86-64). That code summed the weight gradients one time
@@ -745,7 +809,8 @@ def test_saved_bytes_match_record_and_load_into_one_buffer(tmp_path, k, sizes):
     model, ds, config = small_trained_model(k, sizes)
     path = tmp_path / "m.bin"
     lstm.save_model(str(path), model)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == RESCALED_ADAM_MODEL_SHA256[(k, sizes)]
+    assert (hashlib.sha256(path.read_bytes()).hexdigest() == RESCALED_ADAM_MODEL_SHA256[(k, sizes)]
+            ), recorded_with(MODEL_SHA256_BLAS_CORE)
 
     loaded = lstm.load_model(str(path))
     flat = loaded.network.flat
@@ -771,7 +836,8 @@ def test_textbook_adam_step_reproduces_stacked_bytes(monkeypatch, tmp_path, k, s
     path = tmp_path / "m.bin"
     lstm.save_model(str(path), model)
     digest = STACKED_MODEL_SHA256.get((k, sizes), RECORDED_MODEL_SHA256[(k, sizes)])
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, recorded_with(
+        MODEL_SHA256_BLAS_CORE)
 
 
 @pytest.mark.parametrize("k, sizes", sorted(RECORDED_MODEL_SHA256))
@@ -781,7 +847,8 @@ def test_per_step_backward_reproduces_recorded_bytes(monkeypatch, tmp_path, k, s
     model, _, _ = small_trained_model(k, sizes)
     path = tmp_path / "m.bin"
     lstm.save_model(str(path), model)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDED_MODEL_SHA256[(k, sizes)]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDED_MODEL_SHA256[(k, sizes)], (
+        recorded_with(MODEL_SHA256_BLAS_CORE))
 
 
 def test_load_model_rejects_mismatched_parameters(tmp_path):

@@ -62,4 +62,4 @@ def test_train_and_adam_step_hold_what_the_tracer_counts(monkeypatch):
     assert sum(int(p.size) for p in args[0].params.values()) == args[0].flat.size
     assert firsts
     for params in firsts:
-        assert sum(int(p.size) for p in params.values()) == args[0].live_size(ds.k)
+        assert sum(int(p.size) for p in params.values()) == lstm._TrainingCopy(args[0], ds.k).flat.size

@@ -46,8 +46,8 @@ def per_step_backward(
     Each step's ``dw``/``du`` term is computed into a full-size scratch
     array and added; the input gradient runs once per step. As in
     lstm.backward, each layer's gate set is read from its weight width,
-    i|f|g|o (4h) or a k=1 training copy's i|g|o (3h), and the forget term and
-    ``u`` are read only at t > 0. Exact
+    i|f|g|o (4h) or a k=1 training copy's i|g|o (3h), and the forget term
+    and ``u`` are read only at t > 0. Exact
     backpropagation through time over every layer and step. The
     t=0 recurrent terms are skipped because the initial states are zero,
     which makes those contributions identically zero.
@@ -197,20 +197,23 @@ def loads_decode(line: str) -> tuple[object, int]:
     return json.loads(line), len(line)
 
 
+#: The forms of an ISO-8601 date that date.fromisoformat reads, with each
+#: ASCII digit written as d.
+ISO_DATE_FORMS = {"dddd-dd-dd", "dddddddd", "dddd-Wdd-d", "dddd-Wdd", "ddddWddd", "ddddWdd"}
+
+
 def rewritten_iso_instant(value: object) -> int:
     """Oracle for ingest._parse_iso_instant: every value is stripped; a
     date alone that a sign follows (the longest text before a + or - that
-    date.fromisoformat reads) gets T00:00 inserted before the sign; and a
-    trailing Z or z is rewritten as +00:00 before datetime.fromisoformat."""
+    has one of the ISO_DATE_FORMS) gets T00:00 inserted before the sign;
+    and a trailing Z or z is rewritten as +00:00 before
+    datetime.fromisoformat."""
     if not isinstance(value, str):
         raise TypeError(f"bad timestamp type {type(value).__name__}")
     text = value.strip()
     for cut in range(len(text) - 1, 0, -1):
-        if text[cut] in "+-":
-            try:
-                date.fromisoformat(text[:cut])
-            except ValueError:
-                continue
+        form = "".join("d" if c in "0123456789" else c for c in text[:cut])
+        if text[cut] in "+-" and form in ISO_DATE_FORMS:
             text = text[:cut] + "T00:00" + text[cut:]
             break
     if text.endswith(("Z", "z")):

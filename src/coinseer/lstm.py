@@ -11,29 +11,25 @@ product (or sum) over all of its time steps.
 
 All parameters live in one contiguous float64 buffer, laid out in
 ``param_shapes`` order (w1,u1,b1,w2,...,wd,bd); ``Network.params`` holds
-named, reshaped views into it.
+named, reshaped views into it. The network, the model file and
+``predict`` stay float64.
 
 Training works on one packed copy of what the window length trains
 (``_TrainingCopy``), and copies each epoch that improves the validation
-loss into the network. For k > 1 the copy holds every parameter. With
-one-step windows (k=1) the recurrent weights ``u*`` never act, because
-the initial hidden state is zero, and neither does the forget gate, which
-only scales the zero initial cell (Gers, Schmidhuber & Cummins 2000). So
-at k=1 the copy holds each layer's i|g|o weights and biases followed by
-``wd`` and ``bd``, and ``init_network`` told k=1 leaves ``u*`` undrawn at
-zero. There is one forward, ``forward_batch``, and one backward,
+loss into the network. The copy is the one place that sets the training
+dtype (``_TRAINING_DTYPE``): ``forward_batch``, ``backward`` and
+``adam_step`` follow the dtype of the arrays they are given. For k > 1
+the copy holds every parameter. With one-step windows (k=1) the
+recurrent weights ``u*`` never act, because the initial hidden state is
+zero, and neither does the forget gate, which only scales the zero
+initial cell (Gers, Schmidhuber & Cummins 2000). So at k=1 the copy
+holds each layer's i|g|o weights and biases followed by ``wd`` and
+``bd``, and ``init_network`` told k=1 leaves ``u*`` undrawn at zero.
+There is one forward, ``forward_batch``, and one backward,
 ``backward``: they read each layer's gate set from its weight width, so
 they run the copy as they run the network. At k=1 every product runs
-over i|g|o, the input gradient of each layer above the first included. A
-forward or weight-gradient product gives the bits of the same columns of
-the four-gate product wherever the BLAS computes a column alike at both
-widths: with OpenBLAS 0.3.31 on x86-64, at layer sizes that are
-multiples of 8 (tried: 8 to 48, and 400,800). The input gradient sums
-3h terms where the four-gate one sums 4h, of which the forget terms are
-exact zeros; at 400,800 the BLAS splits the two sums differently, so
-the first layer's gradients differ in the last bits (by about 1e-15 of
-each parameter's largest element) and the pinned ablation's predictions
-by at most 4.2e-16 relative. At (8, 16) all bits agree.
+over i|g|o, the input gradient of each layer above the first included;
+README "Models" says where that rounds otherwise than four gates do.
 
 Training steps with Adam (Kingma & Ba 2015) over moments kept rescaled
 by ``1/(1-beta)``, with the bias corrections folded into two scalars per
@@ -60,6 +56,9 @@ ParamDict = dict[str, np.ndarray]
 Layout = dict[str, tuple[int, tuple[int, ...]]]
 
 _MODEL_MAGIC = b"COINSEER-MODEL-1\n"
+
+#: The dtype that training computes in: only _TrainingCopy reads it.
+_TRAINING_DTYPE = np.float64
 
 #: Elements per pass of adam_step: the chunks of p, g, m, v and one
 #: scratch array (1.25 MiB) stay inside a 2 MiB L2 cache.
@@ -203,13 +202,12 @@ def forward_batch(
     recurrent state is read back from the previous step's cache slots.
     ``net`` is a Network or its ``_TrainingCopy``: each layer's gate set
     is read from its weight width (``_cell_gate``), and the forget term
-    and ``u<l>`` are read only at t > 0.
+    and ``u<l>`` are read only at t > 0. The windows are cast to, and the
+    caches and predictions computed in, the dtype of ``net.flat``.
     """
-    x = np.asarray(windows, dtype=np.float64)
+    x = np.asarray(windows, dtype=net.flat.dtype)
     if x.ndim != 3 or x.shape[2] != net.input_dim:
-        raise ValueError(
-            f"windows must be (batch, k, {net.input_dim}), got {x.shape}"
-        )
+        raise ValueError(f"windows must be (batch, k, {net.input_dim}), got {x.shape}")
     batch, k, _ = x.shape
     if k < 1:
         raise ValueError("empty window")
@@ -219,10 +217,10 @@ def forward_batch(
         g0 = _cell_gate(net, li, k)
         w = net.params[f"w{li}"]
         b = net.params[f"b{li}"]
-        gates = np.empty((batch, k, g0 + 2 * h))
-        cells = np.empty((batch, k, h))
-        cell_tanh = np.empty((batch, k, h))
-        hidden = np.empty((batch, k, h))
+        gates = np.empty((batch, k, g0 + 2 * h), x.dtype)
+        cells = np.empty((batch, k, h), x.dtype)
+        cell_tanh = np.empty((batch, k, h), x.dtype)
+        hidden = np.empty((batch, k, h), x.dtype)
         for t in range(k):
             z = gates[:, t]
             np.matmul(seq[:, t], w, out=z)
@@ -269,19 +267,20 @@ def backward(
     k=1 these are the per-step products themselves.
 
     Every element of the gradient is written into ``out`` (a new buffer
-    when None), laid out like ``net.flat``; the result maps each name to
-    its view of ``out``. With k=1 the recurrent weights never act, so a
-    network's ``u<l>`` gradients are written as zeros (a k=1 training
+    when None), laid out like ``net.flat`` and of its dtype, to which
+    ``d_preds`` and every working array follow; the result maps each name
+    to its view of ``out``. With k=1 the recurrent weights never act, so
+    a network's ``u<l>`` gradients are written as zeros (a k=1 training
     copy has no ``u<l>``).
     """
-    d = np.atleast_1d(np.asarray(d_preds, dtype=np.float64))
+    dtype, size = net.flat.dtype, net.flat.size
+    d = np.atleast_1d(np.asarray(d_preds, dtype=dtype))
     batch, k, _ = layers[0].inputs.shape
     if d.shape != (batch,):
         raise ValueError(f"d_preds must have shape ({batch},), got {d.shape}")
-    size = net.flat.size
-    flat = np.empty(size) if out is None else out
-    if flat.shape != (size,) or flat.dtype != np.float64:
-        raise ValueError(f"gradient buffer must be float64 of shape ({size},)")
+    flat = np.empty(size, dtype) if out is None else out
+    if flat.shape != (size,) or flat.dtype != dtype:
+        raise ValueError(f"gradient buffer must match the weights: {dtype} of shape ({size},)")
     grads = _views(flat, net._layout)
     last_hidden = layers[-1].hidden
     grads["wd"][...] = last_hidden[:, -1].T @ d
@@ -292,9 +291,9 @@ def backward(
         lc = layers[li - 1]
         h = net.sizes[li - 1]
         g0 = _cell_gate(net, li, k)
-        dh = np.zeros((batch, h))
-        dc = np.zeros((batch, h))
-        dzs = np.empty((batch, k, g0 + 2 * h))
+        dh = np.zeros((batch, h), dtype)
+        dc = np.zeros((batch, h), dtype)
+        dzs = np.empty((batch, k, g0 + 2 * h), dtype)
         for t in range(k - 1, -1, -1):
             dz = dzs[:, t]
             dh_t = dh + d_seq[:, t]
@@ -335,9 +334,11 @@ class _TrainingCopy:
     it is each layer's i|g|o weights ``w<l>`` (in, 3h) and biases ``b<l>``
     (3h,), then ``wd`` and ``bd`` (see the module docstring). The copy
     carries what ``forward_batch`` and ``backward`` read of a network, so
-    those two run it as they run the network. ``unpack`` writes it into
-    the network and ``locate`` names the network element of a position;
-    both match each parameter to the network's by its shape.
+    those two run it as they run the network. It holds its values, its
+    gradient and Adam's moments (``spare``) in ``_TRAINING_DTYPE``, the
+    one place that sets the training dtype. ``unpack`` writes it into the
+    network and ``locate`` names the network element of a position; both
+    match each parameter to the network's by its shape.
     """
 
     def __init__(self, net: Network, k: int) -> None:
@@ -354,7 +355,8 @@ class _TrainingCopy:
         # raised the peak resident size of a forked ablate worker that
         # trains one experiment after another (glibc's heap kept them in
         # pieces between experiments).
-        self.flat, *self.spare = np.zeros((4, sum(math.prod(s) for s in shapes.values())))
+        size = sum(math.prod(s) for s in shapes.values())
+        self.flat, *self.spare = np.zeros((4, size), _TRAINING_DTYPE)
         self.params = _views(self.flat, self._layout)
         for full, packed in self._pairs():
             packed[...] = full
@@ -444,7 +446,7 @@ def adam_step(
     Every gradient is checked finite before anything changes. The update
     then runs over the rescaled moments of ``AdamState`` as in-place
     ufuncs over chunks of ``_CHUNK`` elements with one chunk-sized
-    scratch array, ten passes per chunk:
+    scratch array per parameter, ten passes per chunk:
     ``m' = BETA1*m' + g``, ``v' = BETA2*v' + g*g`` and
     ``p -= alpha_t * m' / (sqrt(v') + eps_t)``, where, with
     ``bc1 = 1 - BETA1**t``, ``bc2 = 1 - BETA2**t`` and
@@ -452,12 +454,11 @@ def adam_step(
     ``eps_t = EPS/r``. That is algebraically the textbook step
     ``p -= lr*(m/bc1) / (sqrt(v/bc2) + EPS)``, EPS included, with one
     array division and no bias-correction divisions. It rounds
-    differently from the textbook arithmetic: after 55 steps of random
-    gradients over 1.085 M parameters no element differed by more than
-    1.4e-11 relative, and after the 144 steps of one pinned-ablation
-    experiment no weight differed by more than 1.5e-15 of its
-    parameter's largest element. Results do not depend on ``_CHUNK``.
-    All arrays must be C-contiguous.
+    differently from the textbook arithmetic in the last bits (after 55
+    steps of random gradients, by at most 1.4e-11 relative). Results do
+    not depend on ``_CHUNK``. All arrays must be C-contiguous, and each
+    parameter's gradient and moments must have its dtype, which its
+    update computes in.
     """
     if t < 1:
         raise ValueError("step index starts at 1")
@@ -466,6 +467,8 @@ def adam_step(
         quad = (p, grads[key], state.m[key], state.v[key])
         if any(a.shape != p.shape or not a.flags.c_contiguous for a in quad):
             raise ValueError(f"parameter {key}: arrays must be C-contiguous and alike in shape")
+        if len({a.dtype for a in quad}) > 1:
+            raise ValueError(f"parameter {key}: mixed dtypes {[a.dtype.name for a in quad]}")
         finite = np.isfinite(quad[1])
         if not finite.all():
             raise NonFiniteGradient(key, int(np.argmin(finite.reshape(-1))))
@@ -473,8 +476,8 @@ def adam_step(
     r = math.sqrt((1.0 - BETA2) / (1.0 - BETA2**t))
     alpha = config.learning_rate * (1.0 - BETA1) / ((1.0 - BETA1**t) * r)
     eps = EPS / r
-    scratch = np.empty(_CHUNK)
     for p, g, m, v in arrays:
+        scratch = np.empty(min(_CHUNK, p.size), p.dtype)
         for lo in range(0, p.size, _CHUNK):
             hi = min(lo + _CHUNK, p.size)
             pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
@@ -565,11 +568,8 @@ def train(
         raise ValueError("fit and validation feature names differ")
     if fit_set.k != val_set.k:
         raise ValueError("fit and validation window sizes differ")
-    if len(fit_set.feature_names) != net.input_dim:
-        raise ValueError(
-            f"network expects {net.input_dim} features, "
-            f"data has {len(fit_set.feature_names)}"
-        )
+    if (n_features := len(fit_set.feature_names)) != net.input_dim:
+        raise ValueError(f"network expects {net.input_dim} features, data has {n_features}")
     if len(fit_set) < 1 or len(val_set) < 1:
         raise ValueError("fit and validation sets must be nonempty")
     history, best_epoch = _fit(net, fit_set, val_set, config)

@@ -268,6 +268,76 @@ def test_github_loader_reads_timeline_events_from_before_2015(tmp_path, caplog):
     ] * 4
 
 
+def events_api_line(kind, name, created_at, payload, ensure_ascii=True, **extra):
+    """A GitHub Archive event from 2015 on, in the shape of GitHub's Events
+    API: an ``id``, an ``actor`` object, ``repo`` with ``id``, ``name``
+    and ``url``, a nested ``payload``, ``public`` and ``org``."""
+    owner = name.split("/")[0]
+    obj = {
+        "id": "2489651045", "type": kind,
+        "actor": {"id": 665991, "login": "satoshi", "gravatar_id": "",
+                  "url": "https://api.github.com/users/satoshi",
+                  "avatar_url": "https://avatars.githubusercontent.com/u/665991?"},
+        "repo": {"id": 1181927, "name": name, "url": f"https://api.github.com/repos/{name}"},
+        "payload": payload, "public": True, "created_at": created_at,
+        "org": {"id": 528860, "login": owner, "gravatar_id": "",
+                "url": f"https://api.github.com/orgs/{owner}",
+                "avatar_url": "https://avatars.githubusercontent.com/u/528860?"},
+    }
+    return json.dumps({**obj, **extra}, ensure_ascii=ensure_ascii)
+
+
+def test_github_loader_reads_events_api_lines(tmp_path, caplog):
+    push = {"push_id": 536863970, "size": 2, "ref": "refs/heads/master", "commits": [
+        {"sha": "8c3a1f", "message": "Fix the café locale", "distinct": True},
+        {"sha": "d41d8c", "message": "Move src/init.cpp", "distinct": True},
+    ]}
+    push_line = events_api_line("PushEvent", "bitcoin/bitcoin", "2015-01-01T17:00:00Z", push,
+                                ensure_ascii=False).replace("src/init", "src\\/init")
+    assert "é" in push_line and "src\\/init" in push_line
+    kept = [
+        events_api_line("WatchEvent", "bitcoin/bitcoin", "2015-01-01T15:00:00Z",
+                        {"action": "started"}),
+        events_api_line("ForkEvent", "bitcoin/bitcoin", "2015-01-01T16:00:00Z", {"forkee": {
+            "id": 28688495, "name": "bitcoin", "full_name": "satoshi/bitcoin",
+            "owner": {"login": "satoshi"}, "fork": True, "public": True}}),
+        push_line,
+    ]
+    dropped = [
+        # decoded, since its payload names bitcoin/bitcoin, and dropped
+        events_api_line("PullRequestEvent", "satoshi/bitcoin", "2015-01-01T18:00:00Z", {
+            "action": "opened", "number": 1,
+            "pull_request": {"title": "Merge bitcoin/bitcoin master"}}),
+        # the wanted repo, of a type outside the eight: dropped and logged
+        events_api_line("ReleaseEvent", "bitcoin/bitcoin", "2015-01-01T19:00:00Z",
+                        {"action": "published", "release": {"tag_name": "v0.10.0"}}),
+        # a null repo and no repository, in a line that names the wanted
+        # repo (its url): decoded, then skipped and counted
+        events_api_line("PushEvent", "bitcoin/bitcoin", "2015-01-01T20:00:00Z", push, repo=None,
+                        url="https://github.com/bitcoin/bitcoin/compare/8c3a1f...d41d8c"),
+    ]
+    foreign = [events_api_line("WatchEvent", "torvalds/linux", "2015-01-01T12:00:00Z",
+                               {"action": "started"}) for _ in range(100)]
+    src = tmp_path / "2015-01-01-15.json"
+    write_lines(src, kept + dropped + foreign)
+    with caplog.at_level("DEBUG", logger="coinseer.ingest"):
+        records = ingest.load_github_events(str(src), "bitcoin/bitcoin")
+    assert caplog.messages == [f"{src}: 106 lines read, 3 records kept, 1 lines skipped",
+                               f"{src}: dropped 1 events of unrecognized type"]
+    hour = int(datetime(2015, 1, 1, tzinfo=timezone.utc).timestamp()) // 3600
+    assert records == [ingest.EventRecord(3600 * (hour + h), "bitcoin/bitcoin", kind)
+                       for h, kind in ((15, "Watch"), (16, "Fork"), (17, "Push"))]
+
+    caplog.clear()
+    write_lines(src, dropped + foreign)
+    with caplog.at_level("WARNING", logger="coinseer.ingest"):
+        assert ingest.load_github_events(str(src), "bitcoin/bitcoin") == []
+    assert caplog.messages == [
+        f"{src}: no events matched repo 'bitcoin/bitcoin'; "
+        "1 lines that could name 'bitcoin/bitcoin' could not be read"
+    ]
+
+
 def test_align_calendar_forward_fills(tmp_path):
     src = tmp_path / "p.csv"
     price_csv(

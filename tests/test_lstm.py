@@ -571,6 +571,77 @@ def test_a_failed_train_leaves_the_best_epoch_so_far_in_the_network(monkeypatch,
         assert net.params[key].tobytes() == want.tobytes(), key
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_the_training_copy_alone_sets_the_training_dtype(monkeypatch, tmp_path, k):
+    # With the training dtype set to float32, every array training makes
+    # follows the copy; the network, predict and the model file stay
+    # float64, and the predictions stay near the float64 run's
+    rng = np.random.default_rng(17)
+    fit = random_task(rng, 23, k, 3)
+    val = random_task(rng, 7, k, 3)
+    config = lstm.TrainConfig(seed=4, batch_size=5, learning_rate=0.01,
+                              max_epochs=4, patience=None)
+    norm = NormParams(columns=("price_high", "f1", "f2"), mins=np.zeros(3), maxs=np.ones(3))
+    want = lstm.train(lstm.init_network(3, (8, 16), seed=8), fit, val, config, norm=norm)
+
+    seen = set()
+    real_forward, real_backward, real_adam_step = lstm.forward_batch, lstm.backward, lstm.adam_step
+
+    def forward_batch(net, windows):
+        preds, cache = real_forward(net, windows)
+        seen.update(("copy", a.dtype) for a in (net.flat, *net.spare))
+        seen.update(("forward", a.dtype) for a in (preds, *(a for lc in cache for a in lc)))
+        return preds, cache
+
+    def backward(net, layers, d_preds, out=None):
+        grads = real_backward(net, layers, d_preds, out=out)
+        seen.update(("gradient", g.dtype) for g in grads.values())
+        return grads
+
+    def adam_step(params, grads, state, t, config):
+        seen.update(("adam", a.dtype) for d in (params, grads, state.m, state.v) for a in d.values())
+        return real_adam_step(params, grads, state, t, config)
+
+    monkeypatch.setattr(lstm, "_TRAINING_DTYPE", np.float32)
+    for name, wrapped in (("forward_batch", forward_batch), ("backward", backward),
+                          ("adam_step", adam_step)):
+        monkeypatch.setattr(lstm, name, wrapped)
+    model = lstm.train(lstm.init_network(3, (8, 16), seed=8), fit, val, config, norm=norm)
+    monkeypatch.undo()
+    assert seen == {(part, np.dtype(np.float32))
+                    for part in ("copy", "forward", "gradient", "adam")}
+    assert model.network.flat.dtype == np.float64
+    got = lstm.predict(model, val.inputs)
+    assert got.dtype == np.float64
+    npt.assert_allclose(got, lstm.predict(want, val.inputs), rtol=1e-5)
+    assert not np.array_equal(got, lstm.predict(want, val.inputs))
+    path = tmp_path / "m.bin"
+    lstm.save_model(str(path), model)
+    with open(path, "rb") as fh:
+        fh.readline(), fh.readline()
+        saved = [np.load(fh) for _ in range(2 + len(model.network.params))]
+    assert {a.dtype for a in saved} == {np.dtype(np.float64)}
+    loaded = lstm.load_model(str(path))
+    assert loaded.network.flat.tobytes() == model.network.flat.tobytes()
+
+
+def test_backward_and_adam_step_reject_arrays_of_another_dtype():
+    net = lstm.init_network(3, (4, 6), seed=5)
+    _, cache = lstm.forward_batch(net, np.random.default_rng(1).uniform(size=(2, 3, 3)))
+    with pytest.raises(ValueError, match=r"^gradient buffer must match the weights: "
+                                         r"float64 of shape \(399,\)$"):
+        lstm.backward(net, cache, np.ones(2), out=np.empty(net.flat.size, np.float32))
+    grads = lstm.backward(net, cache, np.ones(2))
+    state = zero_adam(net.params)
+    state.v["bd"] = state.v["bd"].astype(np.float32)
+    before = net.flat.copy()
+    with pytest.raises(ValueError, match=r"^parameter bd: mixed dtypes "
+                                         r"\['float64', 'float64', 'float64', 'float32'\]$"):
+        lstm.adam_step(net.params, grads, state, 1, lstm.TrainConfig())
+    assert net.flat.tobytes() == before.tobytes()
+    assert not any(m.any() for m in state.m.values())
+
+
 # (k, position in the flat buffer, parameter, element) for net (2, (3, 4)),
 # whose 205 elements hold w1 at 0, u1 at 24, b1 at 60, w2 at 72, u2 at
 # 120, b2 at 184, wd at 200 and bd at 204. The k=3 training copy has the

@@ -61,7 +61,7 @@ _MODEL_MAGIC = b"COINSEER-MODEL-1\n"
 _TRAINING_DTYPE = np.float64
 
 #: Elements per pass of adam_step: the chunks of p, g, m, v and one
-#: scratch array (1.25 MiB) stay inside a 2 MiB L2 cache.
+#: scratch array (1.25 MiB in float64) stay inside a 2 MiB L2 cache.
 _CHUNK = 32768
 
 log = logging.getLogger(__name__)

@@ -149,14 +149,18 @@ def _range_arg(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _sizes_arg(text: str) -> tuple[int, ...]:
+def _positive_arg(text: str) -> int:
     try:
-        sizes = tuple(int(p) for p in text.split(","))
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad layer sizes {text!r}") from None
-    if not sizes or any(s < 1 for s in sizes):
-        raise argparse.ArgumentTypeError("layer sizes must be positive")
-    return sizes
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _sizes_arg(text: str) -> tuple[int, ...]:
+    return tuple(map(_positive_arg, text.split(",")))
 
 
 def _load_lexicon(path: str | None) -> signals.SentimentLexicon:
@@ -460,7 +464,7 @@ def _matrix_for_columns(
 ) -> signals.SignalMatrix:
     """The feature matrix a stored model was trained on: the price high
     joined to the coin's families, which must give the model's columns."""
-    matrix = signals.concat_signals([signals.price_high_signal(coin.price), *coin.signals.values()])
+    matrix = harness_grid.feature_matrix(coin, tuple(coin.signals))
     if matrix.columns != columns:
         raise ValueError(
             "rebuilt signal columns do not match the model's training columns"
@@ -592,8 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coin", help="coin name (default: first configured)")
     p.add_argument("--signal-set", default="price",
                    help="comma-separated families, or 'price' (default)")
-    p.add_argument("--k", type=int, default=1, help="input window days (default 1)")
-    p.add_argument("--j", type=int, default=1, help="forecast horizon days (default 1)")
+    p.add_argument("--k", type=_positive_arg, default=1, help="input window days (default 1)")
+    p.add_argument("--j", type=_positive_arg, default=1, help="forecast horizon days (default 1)")
     p.add_argument("--out", default="out")
     _add_seed(p)
     _add_train_knobs(p)

@@ -204,7 +204,8 @@ class ExperimentResult:
     error: str | None = None
 
 
-def _feature_matrix(cd: CoinData, signal_set: Sequence[str]) -> SignalMatrix:
+def feature_matrix(cd: CoinData, signal_set: Sequence[str]) -> SignalMatrix:
+    """The price high joined to the coin's families of ``signal_set``."""
     parts = [signals.price_high_signal(cd.price)]
     for family in signal_set:
         matrix = cd.signals.get(family)
@@ -241,7 +242,7 @@ def train_lstm_experiment(
     if cfg.model_kind != "lstm":
         raise ValueError("not an LSTM config")
     cd = bundle.coins[cfg.coin]
-    matrix = _feature_matrix(cd, cfg.signal_set)
+    matrix = feature_matrix(cd, cfg.signal_set)
     train, test, seen = _split(cfg, cd, options)
     fit_rows = len(matrix.dates) if options.whole_series_norm else seen + 1
     norm = dataset.fit_minmax(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from functools import cache
 from importlib import resources
-from itertools import count, islice
+from itertools import count
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -130,17 +130,14 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class CommentTable:
-    """One row per comment, decided once: its calendar row (-1 outside the
-    calendar), score, polarity and subjectivity (scored inside the
-    calendar only, 0 outside), and its tokens as ids into ``tokens``, the
-    corpus's distinct tokens, in CSR form: comment c holds
+    """One row per comment, decided once, for every Reddit family: its
+    calendar row (-1 outside the calendar), score, and tokens as ids into
+    ``tokens``, the corpus's distinct tokens, in CSR form: comment c holds
     ``token_ids[offsets[c]:offsets[c + 1]]``."""
 
     calendar: tuple[date, ...]
     day: np.ndarray
     score: np.ndarray
-    polarity: np.ndarray
-    subjectivity: np.ndarray
     offsets: np.ndarray
     token_ids: np.ndarray
     tokens: tuple[str, ...]
@@ -156,9 +153,7 @@ def _day_rows(created_utc: Sequence[int], calendar: Sequence[date]) -> np.ndarra
     return np.where((rows >= 0) & (rows < len(calendar)), rows, -1)
 
 
-def comment_table(
-    comments: Sequence[CommentRecord], calendar: Sequence[date], lexicon: SentimentLexicon
-) -> CommentTable:
+def comment_table(comments: Sequence[CommentRecord], calendar: Sequence[date]) -> CommentTable:
     """Tokenize each comment and place it on ``calendar``, in bulk.
 
     Comments are read in chunks of ``_CHUNK``. Each chunk's lowercased
@@ -166,56 +161,24 @@ def comment_table(
     code point, every byte outside [a-z0-9] becomes a space, and the text is
     split once; a token belongs to the body whose span holds its first
     byte. So each comment's tokens are ``tokenize(body)``, and ids number
-    the distinct tokens in order of first occurrence. A comment's
-    polarity and subjectivity are numpy's sum of its lexicon values in
-    token order, divided by their count: the comments of a chunk with the
-    same count of lexicon tokens are summed as the rows of one matrix,
-    which numpy sums row by row as it sums each row alone.
+    the distinct tokens in order of first occurrence.
     """
     calendar = tuple(calendar)
     day = _day_rows([rec.created_utc for rec in comments], calendar)
     score = np.array([rec.score for rec in comments], dtype=np.float64)
-    lexicon_row = {t: i for i, t in enumerate(lexicon.entries)}
-    # polarity and subjectivity, each indexed by lexicon row
-    lexicon_values = np.array(list(lexicon.entries.values()), dtype=np.float64).reshape(-1, 2).T
     ids: defaultdict[bytes, int] = defaultdict(count().__next__)  # a new token takes the next id
-    id_lexicon_row = array("q")  # of each token id, -1 outside the lexicon
     token_ids, offsets = array("q"), np.zeros(len(day) + 1, dtype=np.int64)
-    sentiment = np.zeros((2, len(day)))  # scored on the calendar only
     for lo in range(0, len(day), _CHUNK):
         bodies = [rec.body.lower() for rec in comments[lo : lo + _CHUNK]]
         text = " ".join(bodies).encode("ascii", "replace").translate(_WORD_BYTES)
-        words = text.split()
-        chunk_ids = np.fromiter(map(ids.__getitem__, words), np.int64, len(words))
-        # the tokens first seen in this chunk, in id order
-        fresh = list(islice(reversed(ids), len(ids) - len(id_lexicon_row)))[::-1]
-        id_lexicon_row.extend(lexicon_row.get(t.decode(), -1) for t in fresh)
         # a body's tokens are those that start before its end and after the
         # previous body's end
         in_word = np.frombuffer(text, dtype=np.uint8) != ord(" ")
         starts = np.flatnonzero(np.diff(in_word, prepend=False))[::2]
         ends = np.cumsum(np.fromiter(map(len, bodies), np.int64, len(bodies)) + 1) - 1
-        token_ends = np.searchsorted(starts, ends)
-        offsets[lo + 1 : lo + 1 + len(bodies)] = len(token_ids) + token_ends
-        token_ids.frombytes(chunk_ids.tobytes())
-        owner = np.repeat(np.arange(len(bodies)), np.diff(token_ends, prepend=0))
-        # through a temporary view: an array cannot grow while a view holds it
-        hit_rows = np.frombuffer(id_lexicon_row, dtype=np.int64)[chunk_ids]
-        hit = (hit_rows >= 0) & (day[lo + owner] >= 0)
-        hits = np.bincount(owner[hit], minlength=len(bodies))
-        hit_rows = hit_rows[hit]
-        first_hit = np.cumsum(hits) - hits
-        # each count of hits that some comment has; np.unique would import
-        # numpy.ma, 2.5 MB more RSS in every worker forked after this
-        for m in (np.flatnonzero(np.bincount(hits)[1:]) + 1).tolist():
-            rows = np.flatnonzero(hits == m)
-            # (comments, m) lexicon rows; numpy sums each row of a C-ordered
-            # matrix as it sums that row alone, np.mean's own arithmetic
-            lexicon_hits = hit_rows[first_hit[rows, None] + np.arange(m)]
-            for out, values in zip(sentiment, lexicon_values):
-                out[lo + rows] = np.add.reduce(values[lexicon_hits], axis=1) / m
-    return CommentTable(calendar, day, score, sentiment[0], sentiment[1], offsets,
-                        np.frombuffer(token_ids, dtype=np.int64),
+        offsets[lo + 1 : lo + 1 + len(bodies)] = len(token_ids) + np.searchsorted(starts, ends)
+        token_ids.extend(map(ids.__getitem__, text.split()))
+    return CommentTable(calendar, day, score, offsets, np.frombuffer(token_ids, dtype=np.int64),
                         tuple(t.decode() for t in ids))
 
 
@@ -232,7 +195,8 @@ def build_vocabulary(comments: CommentTable, size: int = DEFAULT_VOCAB_SIZE) -> 
 
 
 def load_lexicon(path: str) -> SentimentLexicon:
-    """Read a 3-column TSV: token, polarity, subjectivity."""
+    """Read a 3-column TSV: token, polarity, subjectivity. Each token is
+    listed once and is a word ``tokenize`` can give, a run of [a-z0-9]."""
     entries: dict[str, tuple[float, float]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -243,6 +207,10 @@ def load_lexicon(path: str) -> SentimentLexicon:
             if len(parts) != 3:
                 raise ValueError(f"{path}: expected 3 tab-separated fields at line {lineno}")
             token, pol, subj = parts
+            if not _TOKEN_RE.fullmatch(token):
+                raise ValueError(f"{path}: {token!r} at line {lineno} is not one word of [a-z0-9]")
+            if token in entries:
+                raise ValueError(f"{path}: {token!r} at line {lineno} is listed twice")
             try:
                 entries[token] = (float(pol), float(subj))
             except ValueError:
@@ -357,14 +325,39 @@ def reddit_score_signal(comments: CommentTable) -> SignalMatrix:
     return _matrix(comments.calendar, _R_SCORE_COLUMNS, _day_quartiles(comments, comments.score))
 
 
-def reddit_sentiment_signal(comments: CommentTable) -> SignalMatrix:
-    """Daily quartiles of per-comment polarity and subjectivity: the mean
-    lexicon value over a comment's lexicon tokens, 0 with none.
+def _comment_sentiment(comments: CommentTable, lexicon: SentimentLexicon) -> np.ndarray:
+    """Each comment's (polarity, subjectivity) as a (2, comments) array:
+    numpy's sum of its lexicon values in token order, divided by their
+    count; 0 with no lexicon token or off the calendar. Comments with the
+    same count of lexicon tokens are summed as the rows of one matrix,
+    which numpy sums row by row as it sums each row alone."""
+    lexicon_row = {t: i for i, t in enumerate(lexicon.entries)}
+    # polarity and subjectivity, each indexed by lexicon row
+    lexicon_values = np.array(list(lexicon.entries.values()), dtype=np.float64).reshape(-1, 2).T
+    id_row = np.array([lexicon_row.get(t, -1) for t in comments.tokens], dtype=np.int64)
+    hit_rows = id_row[comments.token_ids]  # of each token, -1 outside the lexicon
+    owner = np.repeat(np.arange(len(comments)), np.diff(comments.offsets))
+    hit = (hit_rows >= 0) & (comments.day[owner] >= 0)
+    hits = np.bincount(owner[hit], minlength=len(comments))
+    hit_rows, first_hit = hit_rows[hit], np.cumsum(hits) - hits
+    sentiment = np.zeros((2, len(comments)))
+    # each count of hits that some comment has; np.unique would import
+    # numpy.ma, 2.5 MB more RSS in every worker forked after this
+    for m in (np.flatnonzero(np.bincount(hits)[1:]) + 1).tolist():
+        rows = np.flatnonzero(hits == m)
+        # (comments, m) lexicon rows, reduced one value at a time: numpy sums
+        # each row of a C-ordered matrix as it sums that row alone, but not
+        # each row of the stacked (2, comments, m) array
+        lexicon_hits = hit_rows[first_hit[rows, None] + np.arange(m)]
+        for out, values in zip(sentiment, lexicon_values):
+            out[rows] = np.add.reduce(values[lexicon_hits], axis=1) / m
+    return sentiment
 
-    Columns r_pol_q1..q3, r_subj_q1..q3.
-    """
-    values = np.hstack([_day_quartiles(comments, comments.polarity),
-                        _day_quartiles(comments, comments.subjectivity)])
+
+def reddit_sentiment_signal(comments: CommentTable, lexicon: SentimentLexicon) -> SignalMatrix:
+    """Daily quartiles of per-comment polarity and subjectivity, scored here
+    by ``_comment_sentiment``: columns r_pol_q1..q3, r_subj_q1..q3."""
+    values = np.hstack([_day_quartiles(comments, v) for v in _comment_sentiment(comments, lexicon)])
     return _matrix(comments.calendar, _R_SENT_COLUMNS, values)
 
 
@@ -372,8 +365,8 @@ def reddit_sentiment_signal(comments: CommentTable) -> SignalMatrix:
 class Family:
     """A signal family: name, display label, the archive it reads
     ("reddit" or "github"), column names given the language vocabulary,
-    and extractor, which calls the sources that extract_families builds
-    on first use."""
+    and extractor, which reads the sources that extract_families passes
+    it."""
 
     name: str
     label: str
@@ -400,7 +393,7 @@ FAMILIES: Mapping[str, Family] = {
         Family("r_score", "R_Score", "reddit", lambda v: _R_SCORE_COLUMNS,
                lambda s: reddit_score_signal(s.comments())),
         Family("r_sent", "R_Sent", "reddit", lambda v: _R_SENT_COLUMNS,
-               lambda s: reddit_sentiment_signal(s.comments())),
+               lambda s: reddit_sentiment_signal(s.comments(), s.lexicon)),
     )
 }
 
@@ -436,11 +429,12 @@ def extract_families(
     """The named families on ``calendar``, in canonical order, each source
     built the first time a family reads it. r_lang reads ``vocabulary``,
     else the corpus's top ``vocab_size`` tokens; with neither (no comment
-    has a token) it is left out."""
-    table = cache(lambda: comment_table(comments, calendar, lexicon))
+    has a token) it is left out. Only r_sent reads ``lexicon``."""
+    table = cache(lambda: comment_table(comments, calendar))
     sources = SimpleNamespace(
         comments=table,
         vocabulary=cache(lambda: vocabulary or build_vocabulary(table(), vocab_size)),
+        lexicon=lexicon,
         # gh_pop is a slice of gh_all, so both read the events once
         gh_all=cache(lambda: github_all_signal(events, calendar)),
     )

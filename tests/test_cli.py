@@ -43,9 +43,13 @@ def test_parse_range_forms():
 
 
 def test_parser_rejects_bad_values(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["ablate", "--synthetic", "--k", "0", "--j", "1"])
-    assert exc.value.code == 2
+    # a day count below one is a usage error that names its option
+    for command in ("ablate", "train"):
+        for flag, value in (("--k", "0"), ("--j", "0"), ("--k", "-2"), ("--j", "x")):
+            with pytest.raises(SystemExit) as exc:
+                run([command, "--synthetic", flag, value])
+            assert exc.value.code == 2
+            assert f"error: argument {flag}: " in capsys.readouterr().err
     with pytest.raises(SystemExit):
         run(["train", "--synthetic", "--sizes", "4,-1"])
     capsys.readouterr()
@@ -360,11 +364,15 @@ def test_textbook_adam_step_and_full_draw_reproduce_recorded_train_and_forecast_
 def record_matrices(monkeypatch):
     """Keep every training matrix and every matrix forecast rebuilds."""
     seen = {"trained": [], "rebuilt": []}
-    for module, name, key in ((grid, "_feature_matrix", "trained"),
+    # forecast builds its matrix through grid.feature_matrix too, so a
+    # matrix that _matrix_for_columns returns is taken back out of "trained"
+    for module, name, key in ((grid, "feature_matrix", "trained"),
                               (cli, "_matrix_for_columns", "rebuilt")):
         def keep(*args, _fn=getattr(module, name), _key=key):
             matrix = _fn(*args)
             seen[_key].append(matrix)
+            if _key == "rebuilt":
+                seen["trained"] = [m for m in seen["trained"] if m is not matrix]
             return matrix
         monkeypatch.setattr(module, name, keep)
     return seen

@@ -32,11 +32,10 @@ def event(day, kind, hour=12):
 
 
 CAL = daily_calendar(date(2021, 1, 1), date(2021, 1, 3))
-NO_LEXICON = signals.SentimentLexicon({})
 
 
-def table(comments, lexicon=NO_LEXICON, calendar=CAL):
-    return signals.comment_table(comments, calendar, lexicon)
+def table(comments, calendar=CAL):
+    return signals.comment_table(comments, calendar)
 
 
 def test_tokenize():
@@ -169,16 +168,16 @@ def test_reddit_sentiment_uses_lexicon():
     lexicon = signals.SentimentLexicon(
         entries={"good": (0.8, 0.6), "bad": (-0.7, 0.7)}
     )
-    scored = table([comment(CAL[0], "Good, GOOD bad"), comment(CAL[0], "nothing known")],
-                   lexicon)
-    assert (scored.polarity[0], scored.subjectivity[0]) == (
+    polarity, subjectivity = signals._comment_sentiment(
+        table([comment(CAL[0], "Good, GOOD bad"), comment(CAL[0], "nothing known")]), lexicon)
+    assert (polarity[0], subjectivity[0]) == (
         pytest.approx((0.8 + 0.8 - 0.7) / 3),
         pytest.approx((0.6 + 0.6 + 0.7) / 3),
     )
-    assert (scored.polarity[1], scored.subjectivity[1]) == (0.0, 0.0)
+    assert (polarity[1], subjectivity[1]) == (0.0, 0.0)
 
     comments = [comment(CAL[0], "good"), comment(CAL[0], "bad", hour=13)]
-    matrix = signals.reddit_sentiment_signal(table(comments, lexicon))
+    matrix = signals.reddit_sentiment_signal(table(comments), lexicon)
     assert matrix.columns[:3] == ("r_pol_q1", "r_pol_q2", "r_pol_q3")
     npt.assert_allclose(matrix.values[0, 1], 0.05)
     npt.assert_allclose(matrix.values[0, 4], 0.65)
@@ -203,6 +202,17 @@ def test_load_lexicon_rejects_bad_rows(tmp_path):
         signals.load_lexicon(str(path))
     path.write_text("# only a comment\n", encoding="utf-8")
     with pytest.raises(ValueError, match="empty lexicon"):
+        signals.load_lexicon(str(path))
+    # a token that tokenize never gives could never match a comment
+    for token in ("Good", "can't", ":)", "to the", "naïve", "moon!"):
+        path.write_text(f"good\t0.5\t0.5\n{token}\t0.5\t0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            signals.load_lexicon(str(path))
+        assert str(err.value) == f"{path}: {token!r} at line 2 is not one word of [a-z0-9]"
+    # a repeated token would silently override its earlier line
+    path.write_text("# lexicon\ngood\t0.5\t0.5\nbad\t-0.5\t0.5\ngood\t0.7\t0.6\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 'good' at line 4 is listed twice")):
         signals.load_lexicon(str(path))
 
 
@@ -261,7 +271,7 @@ def family_inputs():
 
 def test_family_table_extracts_what_each_extractor_does():
     records, events, lexicon = family_inputs()
-    comments = table(records, lexicon)
+    comments = table(records)
     vocab = signals.build_vocabulary(comments, size=4)
     assert list(signals.FAMILIES) == ["gh_pop", "gh_all", "r_vol", "r_lang", "r_score", "r_sent"]
     assert [f.label for f in signals.FAMILIES.values()] == [
@@ -273,7 +283,7 @@ def test_family_table_extracts_what_each_extractor_does():
         "r_vol": signals.reddit_volume_signal(comments),
         "r_lang": signals.reddit_language_signal(comments, vocab),
         "r_score": signals.reddit_score_signal(comments),
-        "r_sent": signals.reddit_sentiment_signal(comments),
+        "r_sent": signals.reddit_sentiment_signal(comments, lexicon),
     }
     got = signals.extract_families(reversed(signals.FAMILIES), CAL, records, events, lexicon,
                                    vocabulary=vocab)
@@ -400,18 +410,26 @@ def oracle_corpus(seed=4, days=30):
 
 def test_comment_table_families_equal_the_per_family_loops_bitwise():
     comments, calendar, lexicon = oracle_corpus()
+    # sentiment sums the comments of one count of hits as one matrix, over
+    # the whole table: here more than 5,000 comments on the calendar hold 9
+    rng = np.random.default_rng(5)
+    start, span = epoch(calendar[0], hour=0), len(calendar) * 86400
+    comments += [CommentRecord(start + int(rng.integers(span)), "s",
+                               " ".join(rng.choice(sorted(lexicon.entries), 9)) + " w1", 1)
+                 for _ in range(5200)]
     counts = [sum(t in lexicon.entries for t in signals.tokenize(c.body)) for c in comments]
-    assert max(counts) > 8 and min(counts) == 0
+    assert max(counts) > 9 and min(counts) == 0
     assert any(not c.body.strip() for c in comments)
     outside = [day_of(c.created_utc) not in calendar for c in comments]
     assert 0 < sum(outside) < len(comments)
+    assert np.bincount([n for n, out in zip(counts, outside) if not out])[9] > 5000
     # on these inputs a sum in another order (np.cumsum's, left to right)
     # than np.mean's gives other bits
     pols = [[lexicon.entries[t][0] for t in signals.tokenize(c.body) if t in lexicon.entries]
             for c in comments]
     assert any(np.cumsum(p)[-1] / len(p) != np.mean(p) for p in pols if p)
 
-    comments_table = signals.comment_table(comments, calendar, lexicon)
+    comments_table = signals.comment_table(comments, calendar)
     assert len(comments_table) == len(comments)
     for size in (1, 7, 10000):
         vocab = signals.build_vocabulary(comments_table, size)
@@ -425,17 +443,37 @@ def test_comment_table_families_equal_the_per_family_loops_bitwise():
     assert not got["r_lang"].column("r_lang_absent").any()
 
 
+class UnreadLexicon:
+    """A lexicon that fails the test when anything reads its entries."""
+
+    @property
+    def entries(self):
+        raise AssertionError("the lexicon was read")
+
+
+def test_only_r_sent_reads_the_lexicon():
+    records, events, lexicon = family_inputs()
+    names = ["r_vol", "r_lang", "r_score"]
+    got = signals.extract_families(names, CAL, records, events, UnreadLexicon(), 4)
+    want = signals.extract_families(names, CAL, records, events, lexicon, 4)
+    assert list(got) == names
+    for name in names:
+        assert got[name].values.tobytes() == want[name].values.tobytes(), name
+    with pytest.raises(AssertionError, match="the lexicon was read"):
+        signals.extract_families(["r_sent"], CAL, records, events, UnreadLexicon())
+
+
 def test_comment_table_rows_and_scores():
     lexicon = signals.SentimentLexicon({"good": (0.5, 0.25)})
     comments = [comment(CAL[1], "good x GOOD", score=4), comment(date(2021, 1, 4), "good"),
                 comment(CAL[0], "", score=-2)]
-    got = table(comments, lexicon)
+    got = table(comments)
     assert got.calendar == CAL
     npt.assert_array_equal(got.day, [1, -1, 0])
     npt.assert_array_equal(got.score, [4, 1, -2])
     # sentiment is scored only for comments on the calendar
-    npt.assert_array_equal(got.polarity, [0.5, 0.0, 0.0])
-    npt.assert_array_equal(got.subjectivity, [0.25, 0.0, 0.0])
+    npt.assert_array_equal(signals._comment_sentiment(got, lexicon),
+                           [[0.5, 0.0, 0.0], [0.25, 0.0, 0.0]])
     npt.assert_array_equal(got.offsets, [0, 3, 4, 4])
     assert [got.tokens[i] for i in got.token_ids] == ["good", "x", "good", "good"]
     # ids in order of first occurrence
@@ -504,7 +542,7 @@ def test_synthetic_bundle_builds_the_comment_table_only_for_reddit_families(monk
         assert list(bundle.coins["alphacoin"].signals) == list(families)
         if "r_vol" not in families:
             assert not tables, families
-    (((comments, _, _), got),) = tables
+    (((comments, _), got),) = tables
     assert len(got.offsets) == len(comments) + 1
     assert comment_tokens(got) == [signals.tokenize(c.body) for c in comments]
 
@@ -544,9 +582,8 @@ def test_comment_table_tokens_equal_tokenize_per_body():
 
 def on_days(calendar, day):
     """A CommentTable that places one comment on each row of ``day``."""
-    zeros = np.zeros(len(day))
-    return signals.CommentTable(tuple(calendar), np.asarray(day, dtype=np.int64), zeros, zeros,
-                                zeros, np.zeros(len(day) + 1, dtype=np.int64),
+    return signals.CommentTable(tuple(calendar), np.asarray(day, dtype=np.int64),
+                                np.zeros(len(day)), np.zeros(len(day) + 1, dtype=np.int64),
                                 np.zeros(0, dtype=np.int64), ())
 
 
@@ -581,9 +618,9 @@ def test_negative_zero_lexicon_values_give_positive_zero_quartiles():
     lexicon = signals.SentimentLexicon({"down": (-0.0, 0.0), "flat": (0.0, -0.0)})
     comments = [comment(CAL[0], "down"), comment(CAL[0], "down flat " * 9, hour=13),
                 comment(CAL[1], "flat down x")]
-    got = table(comments, lexicon)
-    assert not np.signbit(got.polarity).any() and not np.signbit(got.subjectivity).any()
-    values = signals.reddit_sentiment_signal(got).values
+    got = table(comments)
+    assert not np.signbit(signals._comment_sentiment(got, lexicon)).any()
+    values = signals.reddit_sentiment_signal(got, lexicon).values
     assert values.tobytes() == np.zeros_like(values).tobytes()
 
 
@@ -633,7 +670,7 @@ def test_pushshift_shaped_comments_load_and_score(tmp_path, caplog):
     assert comments[2].created_utc == epoch(day1, 3)
 
     lexicon = signals.SentimentLexicon({"moon": (0.5, 0.75), "dump": (-0.25, 0.5)})
-    got = table(comments, lexicon, calendar)
+    got = table(comments, calendar)
     assert comment_tokens(got) == [["to", "the", "moon"], ["i", "stanbul", "moon"],
                                    ["stra", "e", "dump"], ["deleted"],
                                    ["lone", "surrogate", "moon"], []]
@@ -641,7 +678,7 @@ def test_pushshift_shaped_comments_load_and_score(tmp_path, caplog):
     lang = signals.reddit_language_signal(got, vocab).values
     assert lang.tolist() == [[2 / 6, 1 / 6, 1 / 6, 1 / 6, 1 / 6, 0.0],
                              [1 / 2, 0.0, 0.0, 0.0, 0.0, 1 / 2], [0.0] * 6]
-    sent = signals.reddit_sentiment_signal(got).values
+    sent = signals.reddit_sentiment_signal(got, lexicon).values
     # day 1 polarities (0.5, 0.5, -0.25), subjectivities (0.75, 0.75, 0.5);
     # day 2 (0, 0.5, 0) and (0, 0.75, 0)
     assert sent.tolist() == [[0.125, 0.5, 0.5, 0.625, 0.75, 0.75],

@@ -326,6 +326,17 @@ RESCALED_ADAM_TRAIN_FORECAST_SHA256 = {
           "bf6026d2e5d20455b74e90defa40ea8597c24777f91efcfff6fbf0e45f999f66"),
 }
 
+# The digests of the same runs since training computes in float32 (the
+# model file stays float64): both model files and both forecast lines
+# moved. The digests above are float64 training's, which the
+# float64_training fixture restores.
+FLOAT32_TRAIN_FORECAST_SHA256 = {
+    "1": ("fc1fa4110221bdf42d5c126c9aa3829c73084423283b625303a4e6e23f5da9e9",
+          "3349a35e4fcbab6d682f23aa7a9e8225728b9dfc6e27a57d86844121dc8e6fbf"),
+    "7": ("83eee44796138be3afdd5b44a4fd8d02feacde422888bce76e7da1c46c9a72c1",
+          "77ca2e0618a067e4180b7fb2fc3338d279bce39f09e72979ac0ede56d58be3de"),
+}
+
 
 def synthetic_train_and_forecast_digests(tmp_path, capsys, k):
     """sha256 of the model file and of the forecast line, and the model's path."""
@@ -342,7 +353,7 @@ def synthetic_train_and_forecast_digests(tmp_path, capsys, k):
 
 
 @pytest.mark.parametrize("k", sorted(RESCALED_ADAM_TRAIN_FORECAST_SHA256))
-def test_train_and_forecast_bytes_match_record(tmp_path, capsys, k):
+def test_train_and_forecast_bytes_match_record(float64_training, tmp_path, capsys, k):
     digests, model = synthetic_train_and_forecast_digests(tmp_path, capsys, k)
     assert digests == RESCALED_ADAM_TRAIN_FORECAST_SHA256[k], recorded_with(TRAIN_FORECAST_BLAS_CORE)
     params = lstm.load_model(str(model)).network.params
@@ -350,9 +361,15 @@ def test_train_and_forecast_bytes_match_record(tmp_path, capsys, k):
     assert all(params[key].any() == (k != "1") for key in ("u1", "u2"))
 
 
+@pytest.mark.parametrize("k", sorted(FLOAT32_TRAIN_FORECAST_SHA256))
+def test_float32_training_train_and_forecast_bytes_match_record(tmp_path, capsys, k):
+    digests, _ = synthetic_train_and_forecast_digests(tmp_path, capsys, k)
+    assert digests == FLOAT32_TRAIN_FORECAST_SHA256[k], recorded_with(TRAIN_FORECAST_BLAS_CORE)
+
+
 @pytest.mark.parametrize("k", sorted(TRAIN_FORECAST_SHA256))
 def test_textbook_adam_step_and_full_draw_reproduce_recorded_train_and_forecast_bytes(
-    monkeypatch, tmp_path, capsys, k
+    float64_training, monkeypatch, tmp_path, capsys, k
 ):
     full_draw = lstm.init_network
     monkeypatch.setattr(lstm, "init_network", lambda *args, k=None, **kw: full_draw(*args, **kw))

@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from coinseer import arima, dataset, signals, stats
+from coinseer import arima, dataset, lstm, signals, stats
 from coinseer.harness import grid, synthetic
 from coinseer.harness import report as harness_report
 from coinseer.ingest import PriceSeries
@@ -242,6 +242,32 @@ def test_train_lstm_experiment_norm_modes():
     # truths agree, only the forecasts move
     assert [d for d, _, _ in whole.predictions] == [d for d, _, _ in causal.predictions]
     assert [t for _, t, _ in whole.predictions] == [t for _, t, _ in causal.predictions]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_best_val_mse_is_the_returned_networks(monkeypatch, k):
+    # training validates in float64, so the summary's best_val_mse is the
+    # validation MSE of the network the experiment returns: bitwise at
+    # k > 1, within 1e-12 at k=1 (see tests/test_lstm.py)
+    bundle = synthetic.synthetic_bundle(8, days=60, names=("alphacoin",))
+    cfg = grid.ExperimentConfig("alphacoin", "lstm", ("r_vol",), k, 1)
+    val_sets = []
+    real_train = lstm.train
+
+    def train(net, fit_set, val_set, config, *, norm):
+        val_sets.append(val_set)
+        return real_train(net, fit_set, val_set, config, norm=norm)
+
+    monkeypatch.setattr(lstm, "train", train)
+    result, model = grid.train_lstm_experiment(cfg, bundle, small_options(k_max=3, sizes=(4, 6)))
+    (val,) = val_sets
+    preds, _ = lstm.forward_batch(model.network, val.inputs)
+    resid = preds - val.targets
+    mse = float(resid @ resid) / resid.size
+    if k == 1:
+        npt.assert_allclose(mse, result.train_summary["best_val_mse"], rtol=1e-12, atol=0)
+    else:
+        assert mse == result.train_summary["best_val_mse"]
 
 
 def test_both_model_kinds_fit_on_the_rows_seen_in_training(monkeypatch):

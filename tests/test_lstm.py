@@ -374,7 +374,7 @@ def random_task(rng, n, k, input_dim):
 @pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("k", [1, 3])
 @pytest.mark.parametrize("sizes", [(5,), (4, 6)])
-def test_train_is_bitwise_equal_to_per_array_oracle(monkeypatch, sizes, k, chunk):
+def test_train_is_bitwise_equal_to_per_array_oracle(float64_training, monkeypatch, sizes, k, chunk):
     if chunk is not None:
         # chunks that end inside every parameter array
         monkeypatch.setattr(lstm, "_CHUNK", chunk)
@@ -401,7 +401,7 @@ def test_train_is_bitwise_equal_to_per_array_oracle(monkeypatch, sizes, k, chunk
 
 
 @pytest.mark.parametrize("sizes", [(8,), (8, 16)])
-def test_one_step_train_with_a_one_row_last_batch_matches_per_array_oracle(sizes):
+def test_one_step_train_with_a_one_row_last_batch_matches_per_array_oracle(float64_training, sizes):
     # 21 rows in batches of 5: the last batch is one row, so its forward
     # products are matrix-vector products. Layer widths are multiples of
     # 8, where the k=1 training copy's products are bitwise equal to the
@@ -422,7 +422,7 @@ def test_one_step_train_with_a_one_row_last_batch_matches_per_array_oracle(sizes
 
 
 @pytest.mark.parametrize("sizes", [(8,), (8, 16), (5,), (4, 6)])
-def test_one_step_span_matches_the_four_gate_path(sizes):
+def test_one_step_span_matches_the_four_gate_path(float64_training, sizes):
     # OpenBLAS (0.3.31, x86-64) gives a column of a product the same bits
     # at width 3h as at 4h when h is a multiple of 8; at other widths it
     # can round the last bit differently, mostly at one row
@@ -473,7 +473,7 @@ def test_one_step_span_matches_the_four_gate_path(sizes):
     assert sorted(changed) == sorted(located)
 
 
-def test_one_step_span_at_the_pinned_sizes():
+def test_one_step_span_at_the_pinned_sizes(float64_training):
     # 47 inputs and sizes 400,800, as in the pinned ablation, batch 16.
     # The forward and the gradients of w2, b2, wd and bd are bitwise those
     # of the four-gate path. The layer-2 input gradient runs over i|g|o
@@ -517,7 +517,7 @@ def test_a_layer_without_forget_gate_serves_only_one_step_windows():
 
 
 @pytest.mark.parametrize("k", [2, 7])
-def test_training_copy_above_one_step_holds_and_unpacks_every_parameter(k):
+def test_training_copy_above_one_step_holds_and_unpacks_every_parameter(float64_training, k):
     net = lstm.init_network(3, (4, 6), seed=5)
     copy = lstm._TrainingCopy(net, k)
     assert copy._layout == net._layout
@@ -536,7 +536,9 @@ def test_training_copy_above_one_step_holds_and_unpacks_every_parameter(k):
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_a_failed_train_leaves_the_best_epoch_so_far_in_the_network(monkeypatch, k):
+def test_a_failed_train_leaves_the_best_epoch_so_far_in_the_network(
+    float64_training, monkeypatch, k
+):
     # the gradient turns NaN in epoch 2, after epoch 1 improved (the first
     # epoch always does): the network holds epoch 1's parameters, as the
     # per-array oracle trained for one epoch leaves them
@@ -571,26 +573,18 @@ def test_a_failed_train_leaves_the_best_epoch_so_far_in_the_network(monkeypatch,
         assert net.params[key].tobytes() == want.tobytes(), key
 
 
-@pytest.mark.parametrize("k", [1, 3])
-def test_the_training_copy_alone_sets_the_training_dtype(monkeypatch, tmp_path, k):
-    # With the training dtype set to float32, every array training makes
-    # follows the copy; the network, predict and the model file stay
-    # float64, and the predictions stay near the float64 run's
-    rng = np.random.default_rng(17)
-    fit = random_task(rng, 23, k, 3)
-    val = random_task(rng, 7, k, 3)
-    config = lstm.TrainConfig(seed=4, batch_size=5, learning_rate=0.01,
-                              max_epochs=4, patience=None)
-    norm = NormParams(columns=("price_high", "f1", "f2"), mins=np.zeros(3), maxs=np.ones(3))
-    want = lstm.train(lstm.init_network(3, (8, 16), seed=8), fit, val, config, norm=norm)
-
+def training_dtypes(monkeypatch, net, fit, val, config, norm):
+    """train's model, and the (part, dtype) of every array it trained
+    with: the copy, each forward's predictions and caches (validation's
+    apart), the gradient and Adam's arrays."""
     seen = set()
     real_forward, real_backward, real_adam_step = lstm.forward_batch, lstm.backward, lstm.adam_step
 
     def forward_batch(net, windows):
         preds, cache = real_forward(net, windows)
-        seen.update(("copy", a.dtype) for a in (net.flat, *net.spare))
-        seen.update(("forward", a.dtype) for a in (preds, *(a for lc in cache for a in lc)))
+        part = "validation" if windows is val.inputs else "forward"
+        seen.update((part, a.dtype) for a in (preds, *(a for lc in cache for a in lc)))
+        seen.update(("copy" if part == "forward" else part, a.dtype) for a in (net.flat, *net.spare))
         return preds, cache
 
     def backward(net, layers, d_preds, out=None):
@@ -602,14 +596,35 @@ def test_the_training_copy_alone_sets_the_training_dtype(monkeypatch, tmp_path, 
         seen.update(("adam", a.dtype) for d in (params, grads, state.m, state.v) for a in d.values())
         return real_adam_step(params, grads, state, t, config)
 
-    monkeypatch.setattr(lstm, "_TRAINING_DTYPE", np.float32)
-    for name, wrapped in (("forward_batch", forward_batch), ("backward", backward),
-                          ("adam_step", adam_step)):
-        monkeypatch.setattr(lstm, name, wrapped)
-    model = lstm.train(lstm.init_network(3, (8, 16), seed=8), fit, val, config, norm=norm)
+    with monkeypatch.context() as m:
+        for name, wrapped in (("forward_batch", forward_batch), ("backward", backward),
+                              ("adam_step", adam_step)):
+            m.setattr(lstm, name, wrapped)
+        return lstm.train(net, fit, val, config, norm=norm), seen
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_the_training_copy_alone_sets_the_training_dtype(monkeypatch, tmp_path, k):
+    # Training computes in float32 and validates in float64; with the
+    # training dtype set back to float64, every array training makes
+    # follows the copy to float64. The network, predict and the model file
+    # stay float64, and the predictions stay near the float64 run's.
+    rng = np.random.default_rng(17)
+    fit = random_task(rng, 23, k, 3)
+    val = random_task(rng, 7, k, 3)
+    config = lstm.TrainConfig(seed=4, batch_size=5, learning_rate=0.01,
+                              max_epochs=4, patience=None)
+    norm = NormParams(columns=("price_high", "f1", "f2"), mins=np.zeros(3), maxs=np.ones(3))
+    parts = ("copy", "forward", "gradient", "adam")
+    model, seen = training_dtypes(
+        monkeypatch, lstm.init_network(3, (8, 16), seed=8), fit, val, config, norm)
+    assert seen == {(part, np.dtype(np.float32)) for part in parts} | {
+        ("validation", np.dtype(np.float64))}
+    monkeypatch.setattr(lstm, "_TRAINING_DTYPE", np.float64)
+    want, seen = training_dtypes(
+        monkeypatch, lstm.init_network(3, (8, 16), seed=8), fit, val, config, norm)
     monkeypatch.undo()
-    assert seen == {(part, np.dtype(np.float32))
-                    for part in ("copy", "forward", "gradient", "adam")}
+    assert seen == {(part, np.dtype(np.float64)) for part in (*parts, "validation")}
     assert model.network.flat.dtype == np.float64
     got, float64_run = lstm.predict(model, val.inputs), lstm.predict(want, val.inputs)
     assert got.dtype == np.float64
@@ -623,6 +638,31 @@ def test_the_training_copy_alone_sets_the_training_dtype(monkeypatch, tmp_path, 
     assert {a.dtype for a in saved} == {np.dtype(np.float64)}
     loaded = lstm.load_model(str(path))
     assert loaded.network.flat.tobytes() == model.network.flat.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_the_best_validation_mse_is_the_returned_networks(k):
+    # float32 training validates in float64, so the history's best
+    # val_mse is the MSE the returned network gives: bitwise at k > 1,
+    # where the copy is laid out as the network, and within 1e-12 at k=1,
+    # where the copy's products run over i|g|o and the network's over
+    # i|f|g|o (see test_one_step_span_matches_the_four_gate_path)
+    rng = np.random.default_rng(17)
+    fit = random_task(rng, 23, k, 3)
+    val = random_task(rng, 7, k, 3)
+    config = lstm.TrainConfig(seed=4, batch_size=5, learning_rate=0.05,
+                              max_epochs=12, patience=3)
+    norm = NormParams(columns=("f0", "f1", "f2"), mins=np.zeros(3), maxs=np.ones(3))
+    model = lstm.train(lstm.init_network(3, (4, 6), seed=8), fit, val, config, norm=norm)
+    best = min(s.val_mse for s in model.history)
+    assert model.history[model.best_epoch - 1].val_mse == best
+    preds, _ = lstm.forward_batch(model.network, val.inputs)
+    resid = preds - val.targets
+    mse = float(resid @ resid) / resid.size
+    if k == 1:
+        npt.assert_allclose(mse, best, rtol=1e-12, atol=0)
+    else:
+        assert mse == best
 
 
 def test_backward_and_adam_step_reject_arrays_of_another_dtype():
@@ -665,7 +705,9 @@ ONE_STEP_SPAN_POSITION = {("w1", 0): 0, ("bd", 0): 79, ("w2", 46): 61}
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("k, pos, name, element", POISON_SITES)
-def test_non_finite_gradient_is_named_and_changes_nothing(monkeypatch, k, pos, name, element, bad):
+def test_non_finite_gradient_is_named_and_changes_nothing(
+    float64_training, monkeypatch, k, pos, name, element, bad
+):
     net = lstm.init_network(2, (3, 4), seed=1)
     assert np.shares_memory(net.flat[pos : pos + 1], net.params[name].reshape(-1)[element : element + 1])
     # backward writes the training copy's gradient, so the poison goes to
@@ -866,6 +908,15 @@ RESCALED_ADAM_MODEL_SHA256 = {
     (3, (3, 4)): "454eab5ae877e1f73aa11cc43db694cb1d5804781c87cebd0c815063ec4d49b3",
 }
 
+# Every entry moved again when training moved to float32: the model file
+# stays float64 and holds the float32 values widened. The digests above
+# are float64 training's, which the float64_training fixture restores.
+FLOAT32_MODEL_SHA256 = {
+    (1, (3, 4)): "c2047414579822623dec623d5b9edf3be2fe3c067a12c5c8c7160beb8963c889",
+    (4, (3,)): "5a0c6c1dfb86a174c032c8e7af41d4bb51bb029d8981ed7bfd7e75588238f85a",
+    (3, (3, 4)): "65f8d9cfde606a815cb2b256e99e820ac66ac7f53c3d33ee583afe3ed0f3c7d7",
+}
+
 
 def small_trained_model(k, sizes):
     ds = make_sine_task(n=12, k=k)
@@ -876,7 +927,7 @@ def small_trained_model(k, sizes):
 
 
 @pytest.mark.parametrize("k, sizes", sorted(RECORDED_MODEL_SHA256))
-def test_saved_bytes_match_record_and_load_into_one_buffer(tmp_path, k, sizes):
+def test_saved_bytes_match_record_and_load_into_one_buffer(float64_training, tmp_path, k, sizes):
     model, ds, config = small_trained_model(k, sizes)
     path = tmp_path / "m.bin"
     lstm.save_model(str(path), model)
@@ -900,8 +951,19 @@ def test_saved_bytes_match_record_and_load_into_one_buffer(tmp_path, k, sizes):
     assert np.all(np.isfinite(preds)) and not np.array_equal(preds, want)
 
 
+@pytest.mark.parametrize("k, sizes", sorted(FLOAT32_MODEL_SHA256))
+def test_float32_training_saved_bytes_match_record(tmp_path, k, sizes):
+    model, _, _ = small_trained_model(k, sizes)
+    path = tmp_path / "m.bin"
+    lstm.save_model(str(path), model)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FLOAT32_MODEL_SHA256[(k, sizes)], (
+        recorded_with(MODEL_SHA256_BLAS_CORE))
+
+
 @pytest.mark.parametrize("k, sizes", sorted(RECORDED_MODEL_SHA256))
-def test_textbook_adam_step_reproduces_stacked_bytes(monkeypatch, tmp_path, k, sizes):
+def test_textbook_adam_step_reproduces_stacked_bytes(
+    float64_training, monkeypatch, tmp_path, k, sizes
+):
     monkeypatch.setattr(lstm, "adam_step", textbook_adam_step)
     model, _, _ = small_trained_model(k, sizes)
     path = tmp_path / "m.bin"
@@ -912,7 +974,9 @@ def test_textbook_adam_step_reproduces_stacked_bytes(monkeypatch, tmp_path, k, s
 
 
 @pytest.mark.parametrize("k, sizes", sorted(RECORDED_MODEL_SHA256))
-def test_per_step_backward_reproduces_recorded_bytes(monkeypatch, tmp_path, k, sizes):
+def test_per_step_backward_reproduces_recorded_bytes(
+    float64_training, monkeypatch, tmp_path, k, sizes
+):
     monkeypatch.setattr(lstm, "backward", per_step_backward)
     monkeypatch.setattr(lstm, "adam_step", textbook_adam_step)
     model, _, _ = small_trained_model(k, sizes)

@@ -3,18 +3,18 @@
 Every byte written here is a pure function of the results, so reruns of
 the same experiments produce identical files. ``write_json`` is the one
 writer of JSON records: results.json here, and the CLI's run manifests
-and synth config.
+and synth config. The CSVs are written through ``ingest.write_csv``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from dataclasses import asdict
 from datetime import date
 from typing import Sequence
 
+from ..ingest import write_csv
 from ..metrics import MetricsReport
 from .grid import (
     ExperimentConfig,
@@ -80,52 +80,40 @@ def load_results(path: str) -> list[ExperimentResult]:
         raise ValueError(f"{path}: not a results file ({type(exc).__name__}: {exc})") from None
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def write_ranking_csv(path: str, rows: Sequence[RankRow]) -> None:
     horizons = [j for j, _ in rows[0].rmspe_by_j]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model", "signals"] + [f"rmspe_j{j}" for j in horizons] + ["mean"]
-        )
-        for row in rows:
-            writer.writerow(
-                [row.model_kind.upper(), signal_set_label(row.signal_set)]
-                + [_fmt(v) for _, v in row.rmspe_by_j]
-                + [_fmt(row.mean)]
-            )
+    write_csv(
+        path,
+        ["model", "signals"] + [f"rmspe_j{j}" for j in horizons] + ["mean"],
+        (
+            [row.model_kind.upper(), signal_set_label(row.signal_set)]
+            + [v for _, v in row.rmspe_by_j]
+            + [row.mean]
+            for row in rows
+        ),
+    )
 
 
 def write_metrics_csv(path: str, results: Sequence[ExperimentResult]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coin", "model", "signals", "k", "j", *_METRIC_COLUMNS, "error"])
-        for result in results:
-            cfg = result.config
-            base = [
-                cfg.coin,
-                cfg.model_kind.upper(),
-                signal_set_label(cfg.signal_set),
-                "" if cfg.model_kind == "arima" else str(cfg.k),
-                str(cfg.j),
-            ]
-            if result.metrics is None:
-                writer.writerow(base + [""] * len(_METRIC_COLUMNS) + [result.error or "failed"])
-            else:
-                values = [getattr(result.metrics, name) for name in _METRIC_COLUMNS]
-                cells = [str(v) if isinstance(v, int) else _fmt(v) for v in values]
-                writer.writerow(base + cells + [""])
+    def cells(result: ExperimentResult) -> list:
+        cfg = result.config
+        base = [
+            cfg.coin,
+            cfg.model_kind.upper(),
+            signal_set_label(cfg.signal_set),
+            "" if cfg.model_kind == "arima" else cfg.k,
+            cfg.j,
+        ]
+        if result.metrics is None:
+            return base + [""] * len(_METRIC_COLUMNS) + [result.error or "failed"]
+        return base + [getattr(result.metrics, name) for name in _METRIC_COLUMNS] + [""]
+
+    write_csv(path, ["coin", "model", "signals", "k", "j", *_METRIC_COLUMNS, "error"],
+              map(cells, results))
 
 
 def write_predictions_csv(path: str, result: ExperimentResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("date", "true_usd", "pred_usd"))
-        for d, t, p in result.predictions:
-            writer.writerow((d.isoformat(), _fmt(t), _fmt(p)))
+    write_csv(path, ("date", "true_usd", "pred_usd"), result.predictions)
 
 
 def _svg_escape(text: str) -> str:

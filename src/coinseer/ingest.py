@@ -15,7 +15,7 @@ import re
 import sys
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,19 +169,8 @@ def load_price_series(path: str, coin: str) -> PriceSeries:
 
 def save_price_series(path: str, series: PriceSeries) -> None:
     """Write a PriceSeries back to CSV, full float precision."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PRICE_HEADER)
-        for i, day in enumerate(series.dates):
-            writer.writerow(
-                [
-                    day.isoformat(),
-                    repr(float(series.open[i])),
-                    repr(float(series.high[i])),
-                    repr(float(series.low[i])),
-                    repr(float(series.close[i])),
-                ]
-            )
+    write_csv(path, PRICE_HEADER,
+              zip(series.dates, series.open, series.high, series.low, series.close))
 
 
 def _checked_epoch(ts: int) -> int:
@@ -290,6 +279,16 @@ def write_ndjson(path: str, objects: Iterable[dict]) -> None:
         for obj in objects:
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")))
             fh.write("\n")
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Iterable[object]]) -> None:
+    """Write a header and rows as CSV. A float cell is written as the
+    shortest text that reads back to the same float64; any other cell as
+    str() gives it, so a date is written in ISO form."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:

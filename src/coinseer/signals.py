@@ -7,7 +7,6 @@ same calendar can be concatenated column-wise.
 
 from __future__ import annotations
 
-import csv
 import re
 from array import array
 from collections import defaultdict
@@ -26,6 +25,7 @@ from .ingest import (
     CommentRecord,
     EventRecord,
     PriceSeries,
+    write_csv,
 )
 
 #: Words are maximal runs of lowercase ascii letters and digits.
@@ -476,8 +476,5 @@ def concat_signals(parts: Sequence[SignalMatrix]) -> SignalMatrix:
 
 def write_signal_csv(path: str, matrix: SignalMatrix) -> None:
     """Write a SignalMatrix as CSV (date column first, full precision)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("date",) + matrix.columns)
-        for i, day in enumerate(matrix.dates):
-            writer.writerow([day.isoformat()] + [repr(float(v)) for v in matrix.values[i]])
+    write_csv(path, ("date",) + matrix.columns,
+              ((day, *row.tolist()) for day, row in zip(matrix.dates, matrix.values)))

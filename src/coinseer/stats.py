@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from .ingest import write_csv
 from .signals import SignalMatrix
 
 _BETACF_MAX_ITER = 300
@@ -225,9 +225,7 @@ def correlation_table(
 
 def write_correlation_csv(path: str, table: Mapping[str, CorrelationReport]) -> None:
     """Write a correlation table as CSV; undefined Pearson cells hold ---."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("signal", "pearson_r", "pearson_p", "distance_corr", "sigma", "iqr"))
-        for name, rep in table.items():
-            cells = (rep.pearson_r, rep.pearson_p, rep.distance_corr, rep.sigma, rep.iqr)
-            writer.writerow((name, *("---" if v is None else repr(v) for v in cells)))
+    rows = ((name, rep.pearson_r, rep.pearson_p, rep.distance_corr, rep.sigma, rep.iqr)
+            for name, rep in table.items())
+    write_csv(path, ("signal", "pearson_r", "pearson_p", "distance_corr", "sigma", "iqr"),
+              (["---" if v is None else v for v in row] for row in rows))

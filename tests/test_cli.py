@@ -1,5 +1,6 @@
 """Command line workflows: synth, ingest, signals, train, forecast, ablate."""
 
+import csv
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -395,12 +397,18 @@ def record_matrices(monkeypatch):
     return seen
 
 
-def train_and_forecast(tmp_path, config, signal_set, forecast_config=None):
+def train_model(tmp_path, config, signal_set):
+    """The model file of a small k=2, j=1 train on ``config``."""
     out = tmp_path / f"trained_{signal_set}"
     assert run(["train", "--config", str(config), "--signal-set", signal_set,
                 "--k", "2", "--j", "1", "--sizes", "4", "--epochs", "2",
                 "--seed", "3", "--out", str(out)]) == 0
     (model,) = out.glob("model_*.bin")
+    return model
+
+
+def train_and_forecast(tmp_path, config, signal_set, forecast_config=None):
+    model = train_model(tmp_path, config, signal_set)
     return run(["forecast", "--model", str(model),
                 "--config", str(forecast_config or config)])
 
@@ -686,6 +694,50 @@ def test_forecast_rejects_junk_model(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def config_with(src, name, **fields):
+    """A copy of ``src``'s config.json beside it, with ``fields`` set."""
+    path = src / name
+    path.write_text(json.dumps({**json.loads((src / "config.json").read_text()), **fields}))
+    return path
+
+
+def test_forecast_warns_when_its_data_ends_inside_the_training_period(tmp_path, capsys):
+    src = synth_dir(tmp_path)
+    model = train_model(tmp_path, src / "config.json", "gh_pop")
+    train_end = lstm.load_model(str(model)).train_end
+    capsys.readouterr()
+    for end, warns in ((train_end, True), (train_end + timedelta(days=1), False)):
+        config = config_with(src, f"end_{end}.json", end=end.isoformat())
+        assert run(["forecast", "--model", str(model), "--config", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["anchor_date"] == end.isoformat()
+        warning = (f"warning: data ends {end}, not newer than the model's "
+                   f"training period (through {train_end})")
+        assert captured.err.splitlines() == ([warning] if warns else [])
+
+
+def test_forecast_failures_exit_2(tmp_path, capsys):
+    src = synth_dir(tmp_path)
+    model = train_model(tmp_path, src / "config.json", "gh_pop")
+    one_day = config_with(src, "one_day.json", start="2020-01-10", end="2020-01-10")
+    blob = model.read_bytes()
+    windowless = tmp_path / "windowless.bin"
+    windowless.write_bytes(blob.replace(b'"k": 2,', b'"k": 0,', 1))
+    assert windowless.read_bytes() != blob
+    capsys.readouterr()
+    for argv, message in (
+        (["--config", str(one_day)], "need at least 2 aligned days, have 1"),
+        (["--config", str(src / "config.json"), "--coin", "nope"],
+         f"coin 'nope' not in {src / 'config.json'}"),
+    ):
+        assert run(["forecast", "--model", str(model), *argv]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert run(["forecast", "--model", str(windowless),
+                "--config", str(src / "config.json")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {windowless}: model lacks window metadata"]
+
+
 def test_ablate_end_to_end_and_report(tmp_path, capsys):
     out1 = tmp_path / "run1"
     argv = ["ablate", "--synthetic", "--days", "40", "--coins", "1",
@@ -718,6 +770,46 @@ def test_ablate_end_to_end_and_report(tmp_path, capsys):
                 "--out", str(rep)]) == 0
     assert (rep / "ranking.csv").read_bytes() == (out1 / "ranking.csv").read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_ablate_with_failed_experiments_writes_its_report_and_exits_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    # every LSTM step overflows; the three ARIMA experiments still score
+    assert run(["ablate", "--synthetic", "--days", "60", "--coins", "1", "--sizes", "4",
+                "--epochs", "2", "--learning-rate", "1e200", "--jobs", "1",
+                "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"wrote 11 files to {out}"]
+    assert captured.err.splitlines()[-1] == "12 of 15 experiments failed"
+    assert len(list(out.iterdir())) == 11
+    with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 15
+    failed = [row for row in rows if row["model"] == "LSTM"]
+    assert len(failed) == 12
+    for row in failed:
+        assert row["error"].startswith("non-finite gradient"), row
+        assert row["rmspe"] == row["n"] == ""
+    assert all(row["error"] == "" and row["rmspe"] for row in rows if row["model"] == "ARIMA")
+
+
+def test_ablate_with_no_successful_experiment_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(cfg, *args):
+        raise ValueError(f"no {cfg.model_kind} fit")
+
+    monkeypatch.setattr(grid, "_run_arima", fail)
+    monkeypatch.setattr(grid, "train_lstm_experiment", fail)
+    out = tmp_path / "run"
+    assert run(["ablate", "--synthetic", "--days", "60", "--coins", "1", "--sizes", "4",
+                "--signals", "none", "--k", "1", "--j", "1", "--jobs", "1",
+                "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "error: no successful results to rank"
+    assert sorted(p.name for p in out.iterdir()) == ["results.json", "run_manifest.json"]
+    results = harness_report.load_results(str(out / "results.json"))
+    assert sorted(r.error for r in results) == ["no arima fit", "no lstm fit"]
 
 
 @pytest.mark.parametrize("payload, problem", [

@@ -1,6 +1,7 @@
 """numpy is coinseer's one runtime dependency: every module that its code
 imports, at module level or inside a function, is in the standard library,
-numpy or coinseer itself, and pyproject.toml declares numpy alone."""
+numpy or coinseer itself, and pyproject.toml declares numpy alone. One
+function, ingest.write_csv, builds the csv writer of every table."""
 
 import ast
 import re
@@ -23,6 +24,28 @@ def imported_modules(path):
             yield ("coinseer" if node.level else node.module.split(".")[0]), node.lineno
 
 
+def csv_writer_builders(path):
+    """The function (or "<module>") of each ``csv.writer`` or
+    ``csv.DictWriter`` call in ``path``, and each ``from csv import``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.ImportFrom) and child.module == "csv":
+                found.append(f"{owner} imports from csv")
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and isinstance(child.func.value, ast.Name) and child.func.value.id == "csv"
+                  and child.func.attr in ("writer", "DictWriter")):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), "<module>")
+    return found
+
+
 def test_every_import_is_stdlib_numpy_or_coinseer():
     sources = sorted((ROOT / "src" / "coinseer").rglob("*.py"))
     found = {(path, name, line) for path in sources for name, line in imported_modules(path)}
@@ -32,6 +55,13 @@ def test_every_import_is_stdlib_numpy_or_coinseer():
     others = sorted(f"{path.relative_to(ROOT)}:{line} imports {name}"
                     for path, name, line in found if name not in ALLOWED)
     assert not others, others
+
+
+def test_one_function_builds_a_csv_writer():
+    sources = sorted((ROOT / "src" / "coinseer").rglob("*.py"))
+    builders = [f"{path.relative_to(ROOT)}: {owner}"
+                for path in sources for owner in csv_writer_builders(path)]
+    assert builders == ["src/coinseer/ingest.py: write_csv"]
 
 
 def test_pyproject_declares_numpy_alone():

@@ -1,5 +1,6 @@
 """Archive loaders: CSV prices, reddit NDJSON, GitHub Archive NDJSON."""
 
+import csv
 import gzip
 import json
 from datetime import date, datetime, timezone
@@ -368,6 +369,25 @@ def test_write_ndjson_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == '{"a":1,"b":2}'
     assert [json.loads(line) for line in lines] == objects
+
+
+def test_write_csv_floats_read_back_bitwise_and_other_cells_as_str(tmp_path):
+    path = tmp_path / "t.csv"
+    floats = [0.1, 1 / 3, -0.0, 5e-324, 1.7976931348623157e308,
+              np.float64(0.1), np.float64(-0.0), np.float64(5e-324),
+              np.float64(1.7976931348623157e308)]
+    others = [7, date(2021, 1, 2), 'a,b "c"', "---", ""]
+    ingest.write_csv(str(path), ("x", "y"), [floats, others])
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, got_floats, got_others = csv.reader(fh)
+    assert header == ["x", "y"]
+    assert got_floats[:5] == ["0.1", "0.3333333333333333", "-0.0", "5e-324",
+                              "1.7976931348623157e+308"]
+    assert got_floats[5:] == [got_floats[i] for i in (0, 2, 3, 4)]
+    read = np.array([float(cell) for cell in got_floats])
+    assert read.tobytes() == np.array(floats, dtype=np.float64).tobytes()
+    assert got_others == ["7", "2021-01-02", 'a,b "c"', "---", ""]
+    assert path.read_bytes().startswith(b'x,y\r\n0.1,')
 
 
 def load(github, path):

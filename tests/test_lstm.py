@@ -817,6 +817,22 @@ def test_train_diverges_loudly():
         lstm.train(net, ds, ds, config, norm=norm)
 
 
+def test_diverged_epoch_raises_and_keeps_initial_weights():
+    # finite gradients, but a validation MSE that overflows to inf
+    ds = make_sine_task(n=20)
+    far = toy_dataset(ds.inputs, np.full(len(ds), 1e200), ds.k)
+    net = lstm.init_network(1, (4,), seed=2)
+    initial = {key: value.copy() for key, value in net.params.items()}
+    norm = NormParams(columns=("f0",), mins=np.zeros(1), maxs=np.ones(1))
+    config = lstm.TrainConfig(seed=2, batch_size=4, max_epochs=3, patience=None)
+    with np.errstate(over="ignore"), pytest.raises(ArithmeticError,
+                                                   match="^training diverged at epoch 1$"):
+        lstm.train(net, ds, far, config, norm=norm)
+    assert net.params.keys() == initial.keys()
+    for key, value in initial.items():
+        npt.assert_array_equal(net.params[key], value, err_msg=key)
+
+
 def test_train_validates_inputs():
     ds = make_sine_task(n=20)
     other = toy_dataset(ds.inputs, ds.targets, ds.k, feature_names=("g0",))

@@ -27,10 +27,6 @@ from .harness import synthetic as harness_synth
 log = logging.getLogger(__name__)
 
 _COIN_NAME_RE = re.compile(r"^[a-z0-9_]+$")
-#: Characters JSON must write as an escape (\", \\, \n, ...). Ingest's
-#: pre-filter does not look for those escapes, so a subreddit or repo name
-#: that held one would never match; no real name holds one.
-_ESCAPED_CHAR_RE = re.compile(r'["\\\x00-\x1f]')
 
 
 @dataclass(frozen=True)
@@ -92,11 +88,7 @@ def load_config(path: str) -> Config:
                 f"{path}: coin name {spec.name!r} must match [a-z0-9_]+"
             )
         for key in ("subreddit", "repo"):
-            if _ESCAPED_CHAR_RE.search(getattr(spec, key)):
-                raise ValueError(
-                    f"{path}: coin {i} field {key!r} must not hold a quote, "
-                    "a backslash or a control character"
-                )
+            ingest.check_archive_name(getattr(spec, key), f"{path}: coin {i} field {key!r}")
         if spec.name in seen:
             raise ValueError(f"{path}: duplicate coin name {spec.name!r}")
         seen.add(spec.name)
@@ -367,10 +359,12 @@ def _run_options(args: argparse.Namespace, seed: int, k_max: int, j_max: int) ->
         j_max=j_max,
         train_frac=args.train_frac,
         sizes=args.sizes,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        max_epochs=args.epochs,
-        patience=None if args.patience == 0 else args.patience,
+        train=lstm.TrainConfig(
+            batch_size=args.batch_size,
+            learning_rate=args.learning_rate,
+            max_epochs=args.epochs,
+            patience=None if args.patience == 0 else args.patience,
+        ),
         max_lag=args.max_lag,
         whole_series_norm=not args.train_only_norm,
     )
@@ -538,11 +532,11 @@ def _add_train_knobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sizes", type=_sizes_arg, default=default.sizes,
                         help="LSTM layer sizes, comma separated (default "
                         f"{','.join(map(str, default.sizes))})")
-    parser.add_argument("--batch-size", type=int, default=default.batch_size)
-    parser.add_argument("--learning-rate", type=float, default=default.learning_rate)
-    parser.add_argument("--epochs", type=int, default=default.max_epochs,
+    parser.add_argument("--batch-size", type=int, default=default.train.batch_size)
+    parser.add_argument("--learning-rate", type=float, default=default.train.learning_rate)
+    parser.add_argument("--epochs", type=int, default=default.train.max_epochs,
                         help="max epochs (default %(default)s)")
-    parser.add_argument("--patience", type=int, default=default.patience,
+    parser.add_argument("--patience", type=int, default=default.train.patience,
                         help="early-stopping patience, 0 disables (default %(default)s)")
     parser.add_argument("--max-lag", type=int, default=default.max_lag,
                         help="largest AR lag order considered (default %(default)s)")

@@ -7,7 +7,7 @@ import ctypes
 import functools
 import hashlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -154,18 +154,16 @@ def assemble_coin(
 @dataclass(frozen=True)
 class RunOptions:
     """Knobs shared by every experiment of one run, checked on construction
-    so that a bad value fails before any data is read. The training
-    defaults are lstm.TrainConfig's."""
+    so that a bad value fails before any data is read. ``train`` holds the
+    training settings; each LSTM experiment trains with it under its own
+    seed, derived from ``master_seed``."""
 
     master_seed: int = 0
     k_max: int = 14
     j_max: int = 3
     train_frac: float = 0.8
     sizes: tuple[int, ...] = (400, 800)
-    batch_size: int = lstm.TrainConfig.batch_size
-    learning_rate: float = lstm.TrainConfig.learning_rate
-    max_epochs: int = lstm.TrainConfig.max_epochs
-    patience: int | None = lstm.TrainConfig.patience
+    train: lstm.TrainConfig = lstm.TrainConfig()
     max_lag: int = 5
     whole_series_norm: bool = True
 
@@ -178,17 +176,6 @@ class RunOptions:
             raise ValueError("layer sizes must be positive")
         if self.k_max < 1 or self.j_max < 1:
             raise ValueError("k_max and j_max must be positive")
-        self.train_config(self.master_seed)
-
-    def train_config(self, seed: int) -> lstm.TrainConfig:
-        """The training settings of one experiment, drawing from ``seed``."""
-        return lstm.TrainConfig(
-            seed=seed,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-        )
 
 
 @dataclass
@@ -259,7 +246,7 @@ def train_lstm_experiment(
         seed=derive_seed(options.master_seed, "init", cid),
         k=cfg.k,
     )
-    config = options.train_config(derive_seed(options.master_seed, "train", cid))
+    config = replace(options.train, seed=derive_seed(options.master_seed, "train", cid))
     model = lstm.train(net, fit_ds, val_ds, config, norm=norm)
     summary = {
         "epochs": len(model.history),
@@ -304,7 +291,6 @@ def run_experiment(
             return _run_arima(cfg, bundle, options)
         return train_lstm_experiment(cfg, bundle, options)[0]
     except (ValueError, ArithmeticError) as exc:
-        log.warning("%s failed: %s", config_id(cfg), exc)
         return ExperimentResult(cfg, None, error=str(exc))
 
 

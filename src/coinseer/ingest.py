@@ -48,6 +48,12 @@ MAX_SKIP_RATE = 0.01
 #: that a GitHub created_at can spell.
 MAX_EPOCH = int(datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc).timestamp())
 
+#: Characters JSON must write as an escape (\", \\, \n, ...). The
+#: pre-filter of _read_ndjson does not look for those escapes, so a
+#: subreddit or repo name that held one would never match; no real name
+#: holds one.
+_ESCAPED_CHAR_RE = re.compile(r'["\\\x00-\x1f]')
+
 #: ``(value, end)`` of the JSON value at the start of a string: the decoder
 #: behind json.loads, called without json.loads's wrapper layers.
 _decode = json.JSONDecoder().raw_decode
@@ -202,6 +208,14 @@ def _parse_score(value: object) -> int:
     return int(value)
 
 
+def check_archive_name(name: str, label: str) -> None:
+    """Raise ValueError, naming ``label``, if the subreddit or repo name
+    ``name`` holds a quote, a backslash or a control character, which the
+    archive loaders cannot match (see _ESCAPED_CHAR_RE)."""
+    if _ESCAPED_CHAR_RE.search(name):
+        raise ValueError(f"{label} must not hold a quote, a backslash or a control character")
+
+
 def _read_ndjson(
     path: str, name: str, what: str, parse: Callable[[dict], tuple | None]
 ) -> list:
@@ -210,9 +224,9 @@ def _read_ndjson(
     Only a line that could name ``name`` (a subreddit or repo name) is
     decoded: one whose lowercased text contains the lowercased name, or
     that holds a JSON escape that could spell one of its characters
-    (``\\u``, or ``\\/`` for a name with a slash; a config's subreddit and
-    repo names hold no quote, backslash or control character, see
-    cli.load_config).
+    (``\\u``, or ``\\/`` for a name with a slash; the loaders reject a
+    name that holds a quote, a backslash or a control character, see
+    check_archive_name).
     The filter saves time only on foreign lines that hold no ``\\u``;
     every other line costs one lowercasing and one substring search more
     than decoding alone. A decoded line must hold exactly one JSON value:
@@ -301,8 +315,11 @@ def load_reddit_comments(path: str, subreddit: str) -> list[CommentRecord]:
     or a score that is not a whole number or that float64 cannot hold is
     skipped and counted. More than 1% skipped lines rejects the file. The
     result is sorted by the full record tuple, so any shuffling of the
-    input lines yields an identical list.
+    input lines yields an identical list. A subreddit name that holds a
+    quote, a backslash or a control character raises ValueError before the
+    file is opened.
     """
+    check_archive_name(subreddit, f"subreddit {subreddit!r}")
     want = subreddit.lower()
 
     def parse(obj: dict) -> CommentRecord | None:
@@ -358,8 +375,9 @@ def load_github_events(path: str, repo: str) -> list[EventRecord]:
     dropped (and counted in the log) rather than treated as corruption.
     Which lines are decoded, which count as skipped toward the 1% limit,
     and the ordering follow load_reddit_comments, with the repository in
-    place of the subreddit.
+    place of the subreddit, and so does the check of the name.
     """
+    check_archive_name(repo, f"repo {repo!r}")
     want = repo.lower()
     unknown = 0
 

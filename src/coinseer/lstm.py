@@ -59,7 +59,8 @@ Layout = dict[str, tuple[int, tuple[int, ...]]]
 
 _MODEL_MAGIC = b"COINSEER-MODEL-1\n"
 
-#: The dtype that training computes in: only _TrainingCopy reads it.
+#: The dtype that training computes in: _TrainingCopy holds its arrays in
+#: it, and TrainConfig bounds the learning rate by its range.
 _TRAINING_DTYPE = np.float32
 
 #: Elements per pass of adam_step: the chunks of p, g, m, v and one
@@ -354,7 +355,7 @@ class _TrainingCopy:
                 for key, shape in shapes.items() if key[0] != "u"
             }
         self._layout = _layout(shapes)
-        # One zeroed block for the copy and the three arrays _fit pairs
+        # One zeroed block for the copy and the three arrays train pairs
         # with it: the gradient and Adam's moments. As four arrays they
         # raised the peak resident size of a forked ablate worker that
         # trains one experiment after another (glibc's heap kept them in
@@ -413,6 +414,12 @@ EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The training settings, declared and defaulted here alone. A rate
+    is rejected if ``adam_step``'s largest step size (the limit of its
+    ``alpha_t``), ``learning_rate*(1-BETA1)/sqrt(1-BETA2)``, exceeds the
+    largest finite value of the training dtype: above about 1.08e38 in
+    float32."""
+
     seed: int = 0
     batch_size: int = 16
     learning_rate: float = 0.001
@@ -426,6 +433,10 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be nonnegative")
+        largest = float(np.finfo(_TRAINING_DTYPE).max) * math.sqrt(1.0 - BETA2) / (1.0 - BETA1)
+        if self.learning_rate > largest:
+            raise ValueError(f"learning_rate must be at most {largest:.4g} for "
+                             f"{np.dtype(_TRAINING_DTYPE)} training, got {self.learning_rate}")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be positive")
         if self.patience is not None and self.patience < 1:
@@ -569,18 +580,20 @@ def train(
     """Mini-batch ADAM with early stopping on validation MSE.
 
     Shuffles sample order each epoch from config.seed and averages
-    gradients within each batch. Training runs in float32 over the one
-    packed copy of what ``fit_set``'s window length trains (see the
-    module docstring), through the same ``forward_batch`` and
-    ``backward`` as the network. Each epoch's validation MSE is computed
-    in float64, and each epoch that lowers it is copied into the passed
-    network, so on return it holds the best epoch's parameters. At k=1
-    the recurrent weights (zero if ``init_network`` was told k=1) and the
-    forget-gate columns keep their initial values; for k > 1 every
-    parameter trains. If training raises (a non-finite gradient, or a
-    diverged epoch), the network holds the best epoch so far, or its
-    initial values if no epoch ended. Each epoch's MSEs and the best epoch
-    are logged at debug level.
+    gradients within each batch. Training runs in float32 on the
+    ``_TrainingCopy`` of what ``fit_set``'s window length trains (see the
+    module docstring): ``forward_batch`` reads the copy as it reads the
+    network, ``backward`` writes the copy's gradient, and the copy's
+    ``locate`` names the network element of a non-finite gradient. Each
+    epoch's validation MSE is computed on the copy ``widened`` to float64,
+    and each epoch that lowers it is copied into the passed network, so
+    on return it holds the best epoch's parameters. At k=1 the recurrent
+    weights (zero if ``init_network`` was told k=1) and the forget-gate
+    columns keep their initial values; for k > 1 every parameter trains.
+    If training raises (a non-finite gradient, or a diverged epoch), the
+    network holds the best epoch so far, or its initial values if no
+    epoch ended. Each epoch's MSEs and the best epoch are logged at debug
+    level.
     """
     if fit_set.feature_names != val_set.feature_names:
         raise ValueError("fit and validation feature names differ")
@@ -590,30 +603,6 @@ def train(
         raise ValueError(f"network expects {net.input_dim} features, data has {n_features}")
     if len(fit_set) < 1 or len(val_set) < 1:
         raise ValueError("fit and validation sets must be nonempty")
-    history, best_epoch = _fit(net, fit_set, val_set, config)
-    return TrainedModel(
-        network=net,
-        norm=norm,
-        history=history,
-        best_epoch=best_epoch,
-        k=fit_set.k,
-        j=fit_set.j,
-        train_end=fit_set.anchor_dates[-1],
-    )
-
-
-def _fit(
-    net: Network,
-    fit_set: WindowedDataset,
-    val_set: WindowedDataset,
-    config: TrainConfig,
-) -> tuple[tuple[EpochStats, ...], int]:
-    """train's epoch loop over the ``_TrainingCopy`` of ``net`` for
-    ``fit_set``'s window length: ``forward_batch`` reads the copy,
-    ``backward`` writes its gradient and its ``locate`` names a position.
-    Validates each epoch on the copy ``widened`` to float64, copies each
-    improving epoch into ``net``, and returns the history and the best
-    epoch."""
     copy = _TrainingCopy(net, fit_set.k)
     grad, m, v = copy.spare
     rng = np.random.default_rng(config.seed)
@@ -651,7 +640,15 @@ def _fit(
         if stopper.should_stop:
             break
     log.debug("best epoch %d of %d", stopper.best_epoch, len(history))
-    return tuple(history), stopper.best_epoch
+    return TrainedModel(
+        network=net,
+        norm=norm,
+        history=tuple(history),
+        best_epoch=stopper.best_epoch,
+        k=fit_set.k,
+        j=fit_set.j,
+        train_end=fit_set.anchor_dates[-1],
+    )
 
 
 def predict(model: TrainedModel, windows: np.ndarray) -> np.ndarray:

@@ -418,8 +418,8 @@ def test_everything_is_bitwise_deterministic(tmp_path, capfd):
             ["alphacoin"], [1, 2], [1], subsets=[(), ("gh_pop",)],
         )
         options = grid.RunOptions(
-            master_seed=12, k_max=2, j_max=1, sizes=(5,), batch_size=8,
-            max_epochs=3, patience=None, max_lag=2,
+            master_seed=12, k_max=2, j_max=1, sizes=(5,),
+            train=lstm.TrainConfig(batch_size=8, max_epochs=3, patience=None), max_lag=2,
         )
         first = grid.run_grid(configs, bundle, options, jobs=1)
         second = grid.run_grid(configs, bundle, options, jobs=1)
@@ -442,8 +442,8 @@ def test_everything_is_bitwise_deterministic(tmp_path, capfd):
         assert path_a.read_bytes() == path_b.read_bytes()
 
         other_seed = grid.RunOptions(
-            master_seed=13, k_max=2, j_max=1, sizes=(5,), batch_size=8,
-            max_epochs=3, patience=None, max_lag=2,
+            master_seed=13, k_max=2, j_max=1, sizes=(5,),
+            train=lstm.TrainConfig(batch_size=8, max_epochs=3, patience=None), max_lag=2,
         )
         _, model_c = grid.train_lstm_experiment(cfg, bundle, other_seed)
         path_c = tmp_path / "c.bin"

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -115,6 +116,7 @@ def test_load_config_validation(tmp_path):
     ("--learning-rate", "-1", "learning_rate must be nonnegative"),
     ("--learning-rate", "nan", "learning_rate must be finite, got nan"),
     ("--learning-rate", "inf", "learning_rate must be finite, got inf"),
+    ("--learning-rate", "1e200", "learning_rate must be at most 1.076e+38 for float32 training"),
     ("--train-frac", "1.5", "train_frac must lie in (0, 1)"),
     ("--max-lag", "-1", "max_lag must be nonnegative"),
 ])
@@ -773,15 +775,22 @@ def test_ablate_end_to_end_and_report(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
-def test_ablate_with_failed_experiments_writes_its_report_and_exits_1(tmp_path, capsys):
+def test_ablate_with_failed_experiments_writes_its_report_and_exits_1(tmp_path, capsys, caplog):
     out = tmp_path / "run"
-    # every LSTM step overflows; the three ARIMA experiments still score
+    # every LSTM experiment's gradient overflows; the three ARIMA experiments still score
     assert run(["ablate", "--synthetic", "--days", "60", "--coins", "1", "--sizes", "4",
-                "--epochs", "2", "--learning-rate", "1e200", "--jobs", "1",
+                "--epochs", "2", "--learning-rate", "1e20", "--jobs", "1",
                 "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out.splitlines() == [f"wrote 11 files to {out}"]
-    assert captured.err.splitlines()[-1] == "12 of 15 experiments failed"
+    err = captured.err.splitlines()
+    assert err[0] == "running 15 experiments"
+    assert err[-1] == "12 of 15 experiments failed"
+    # one progress line per experiment, and no log record besides, so each
+    # failure is reported once
+    assert len(err) == 17
+    assert sum(line.startswith("[") and "] failed: " in line for line in err) == 12
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
     assert len(list(out.iterdir())) == 11
     with open(out / "metrics.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))

@@ -1,14 +1,19 @@
 """numpy is coinseer's one runtime dependency: every module that its code
 imports, at module level or inside a function, is in the standard library,
 numpy or coinseer itself, and pyproject.toml declares numpy alone. One
-function, ingest.write_csv, builds the csv writer of every table."""
+function, ingest.write_csv, builds the csv writer of every table, and the
+training settings are declared once, in lstm.TrainConfig."""
 
 import ast
+import dataclasses
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from coinseer import lstm
+from coinseer.harness import grid
 
 ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "coinseer"}
@@ -69,3 +74,12 @@ def test_pyproject_declares_numpy_alone():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_run_options_hold_the_training_settings_once():
+    train_fields = {f.name for f in dataclasses.fields(lstm.TrainConfig)}
+    run_fields = [f.name for f in dataclasses.fields(grid.RunOptions)]
+    assert "train" in run_fields
+    assert not train_fields & set(run_fields)
+    assert not hasattr(grid.RunOptions, "train_config")
+    assert grid.RunOptions().train == lstm.TrainConfig()

@@ -20,8 +20,8 @@ from oracles import recorded_with
 
 def small_options(**overrides):
     base = dict(
-        master_seed=3, k_max=2, j_max=2, sizes=(6,), batch_size=8,
-        max_epochs=4, patience=None, max_lag=2,
+        master_seed=3, k_max=2, j_max=2, sizes=(6,),
+        train=lstm.TrainConfig(batch_size=8, max_epochs=4, patience=None), max_lag=2,
     )
     base.update(overrides)
     return grid.RunOptions(**base)

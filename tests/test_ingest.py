@@ -3,6 +3,7 @@
 import csv
 import gzip
 import json
+import re
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -499,6 +500,24 @@ def test_every_spelling_of_the_wanted_name_is_decoded(tmp_path, monkeypatch):
             assert [r[1] for r in records] == names
             assert [day_of(r.created_utc) for r in records] == [day] * 4
             assert sorted(decoded) == sorted(decodes)
+
+
+@pytest.mark.parametrize("github", [False, True])
+@pytest.mark.parametrize("name", ['a"b', "a\\b", "a\tb", "a\x00b"])
+def test_loaders_reject_a_name_the_filter_cannot_match(tmp_path, github, name):
+    # JSON writes these characters as escapes, which the pre-filter does not
+    # look for; the file holds the name, and the loader raises before reading it
+    src = tmp_path / "named.ndjson"
+    day = date(2021, 1, 1)
+    write_lines(src, [event_line(day, repo=name) if github else comment_line(day, sub=name)])
+    kind, loader = ("repo", ingest.load_github_events) if github else (
+        "subreddit", ingest.load_reddit_comments)
+    with pytest.raises(ValueError, match=(
+        f"^{kind} {re.escape(repr(name))} must not hold a quote, a backslash or a control character$"
+    )):
+        loader(str(src), name)
+    with pytest.raises(ValueError, match="must not hold a quote"):
+        loader(str(tmp_path / "missing.ndjson"), name)
 
 
 @pytest.mark.parametrize("github", [False, True])

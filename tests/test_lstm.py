@@ -811,7 +811,7 @@ def test_train_diverges_loudly():
     ds = make_sine_task(n=20)
     net = lstm.init_network(1, (4,), seed=2)
     norm = NormParams(columns=("f0",), mins=np.zeros(1), maxs=np.ones(1))
-    config = lstm.TrainConfig(seed=2, batch_size=4, learning_rate=1e200,
+    config = lstm.TrainConfig(seed=2, batch_size=4, learning_rate=1e20,
                               max_epochs=30, patience=None)
     with np.errstate(all="ignore"), pytest.raises(ArithmeticError):
         lstm.train(net, ds, ds, config, norm=norm)
@@ -858,6 +858,26 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         lstm.TrainConfig(learning_rate=-1.0)
     assert lstm.TrainConfig(patience=None).patience is None
+
+
+def test_learning_rate_is_bounded_by_the_training_dtype():
+    largest = float(np.finfo(np.float32).max) * math.sqrt(1.0 - lstm.BETA2) / (1.0 - lstm.BETA1)
+    config = lstm.TrainConfig(learning_rate=largest)
+    with pytest.raises(ValueError, match=r"^learning_rate must be at most 1\.076e\+38 for float32 "
+                       r"training, got 1e\+200$"):
+        lstm.TrainConfig(learning_rate=1e200)
+    with pytest.raises(ValueError, match="learning_rate must be at most"):
+        lstm.TrainConfig(learning_rate=math.nextafter(largest, math.inf))
+    # at the largest rate accepted, late steps (alpha_t near its limit) stay finite
+    p, g, m, v = (np.zeros(4, np.float32) for _ in range(4))
+    with np.errstate(all="raise"):
+        for t in (1, 10, 10_000, 10**6):
+            lstm.adam_step({"p": p}, {"p": g}, lstm.AdamState({"p": m}, {"p": v}), t, config)
+    assert not p.any()
+
+
+def test_float64_training_takes_a_float64_learning_rate(float64_training):
+    assert lstm.TrainConfig(learning_rate=1e200).learning_rate == 1e200
 
 
 def test_model_round_trip_and_deterministic_bytes(tmp_path):

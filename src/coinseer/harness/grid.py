@@ -156,7 +156,8 @@ class RunOptions:
     """Knobs shared by every experiment of one run, checked on construction
     so that a bad value fails before any data is read. ``train`` holds the
     training settings; each LSTM experiment trains with it under its own
-    seed, derived from ``master_seed``."""
+    seed, derived from ``master_seed``, so ``train.seed`` must keep its
+    default."""
 
     master_seed: int = 0
     k_max: int = 14
@@ -168,6 +169,8 @@ class RunOptions:
     whole_series_norm: bool = True
 
     def __post_init__(self) -> None:
+        if self.train.seed != lstm.TrainConfig.seed:
+            raise ValueError("train.seed is unused: each experiment's seed comes from master_seed")
         if not 0.0 < self.train_frac < 1.0:
             raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
         if self.max_lag < 0:

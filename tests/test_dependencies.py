@@ -83,3 +83,5 @@ def test_run_options_hold_the_training_settings_once():
     assert not train_fields & set(run_fields)
     assert not hasattr(grid.RunOptions, "train_config")
     assert grid.RunOptions().train == lstm.TrainConfig()
+    with pytest.raises(ValueError, match="master_seed"):
+        grid.RunOptions(train=lstm.TrainConfig(seed=7))

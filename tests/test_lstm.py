@@ -851,24 +851,23 @@ def test_train_validates_inputs():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        lstm.TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        lstm.TrainConfig(patience=0)
-    with pytest.raises(ValueError):
-        lstm.TrainConfig(learning_rate=-1.0)
+    largest = float(np.finfo(np.float32).max) * math.sqrt(1.0 - lstm.BETA2) / (1.0 - lstm.BETA1)
+    for bad in (
+        {"batch_size": 0},
+        {"patience": 0},
+        {"learning_rate": -1.0},
+        {"learning_rate": 1e200},
+        {"learning_rate": math.nextafter(largest, math.inf)},
+    ):
+        with pytest.raises(ValueError):
+            lstm.TrainConfig(**bad)
     assert lstm.TrainConfig(patience=None).patience is None
 
 
-def test_learning_rate_is_bounded_by_the_training_dtype():
+def test_adam_step_stays_finite_at_the_largest_learning_rate():
     largest = float(np.finfo(np.float32).max) * math.sqrt(1.0 - lstm.BETA2) / (1.0 - lstm.BETA1)
     config = lstm.TrainConfig(learning_rate=largest)
-    with pytest.raises(ValueError, match=r"^learning_rate must be at most 1\.076e\+38 for float32 "
-                       r"training, got 1e\+200$"):
-        lstm.TrainConfig(learning_rate=1e200)
-    with pytest.raises(ValueError, match="learning_rate must be at most"):
-        lstm.TrainConfig(learning_rate=math.nextafter(largest, math.inf))
-    # at the largest rate accepted, late steps (alpha_t near its limit) stay finite
+    # late steps, where alpha_t nears its limit, included
     p, g, m, v = (np.zeros(4, np.float32) for _ in range(4))
     with np.errstate(all="raise"):
         for t in (1, 10, 10_000, 10**6):
